@@ -1,16 +1,18 @@
-//! E25 — scalar vs. bitset hot-path kernels on the same seeded ladder:
-//! how much wall time the word-parallel rewrites of phase 2 (lazy
-//! bucket-queue connector selection) and the prune post-pass
-//! (incremental cover counts + masked Tarjan) buy, with byte-identical
-//! output asserted in-process.
+//! E25 — the scalar references vs. the production bitset kernels on the
+//! same seeded ladder: how much wall time the incremental rewrites of
+//! phase 2 (lazy bucket-queue connector selection) and the prune
+//! post-pass (incremental cover counts + masked Tarjan) buy, with
+//! byte-identical output asserted in-process.
 //!
 //! One seeded disk graph per `n` (same recipe as E19: giant component of
 //! a uniform deployment, side grows as `√n` to hold average degree near
-//! 10) is solved with `GreedyConnect` (prune on) twice — once with the
-//! kernel override pinned to `Scalar`, once pinned to `Bitset` — and
-//! the two `Solution`s are asserted **equal** before any timing is
-//! reported.  The speedup column is therefore for identical answers,
-//! not merely similar ones (the differential guarantee lives in
+//! 10) is solved with `GreedyConnect` (prune on) by the production
+//! `Solver`, and again by composing the same phase 1 with the scalar
+//! references of `mcds_check::oracle`
+//! (`max_gain_connectors_scalar`, then `prune_scalar`).  The two pruned
+//! CDSs are asserted **equal** before any timing is reported.  The
+//! speedup column is therefore for identical answers, not merely similar
+//! ones (the differential guarantee lives in
 //! `crates/cds/tests/kernel_equiv.rs`; this experiment re-checks it at
 //! sizes the test suite cannot afford).
 //!
@@ -24,12 +26,14 @@
 //! Usage: `exp_hotpath [--quick] [--seed <u64>] [--out <dir>] [--threads <n>]`
 
 use std::io::Write;
+use std::time::Instant;
 
 use mcds_bench::sweeps::ms;
 use mcds_bench::{f2, ExpConfig, Table};
-use mcds_cds::kernel::{self, Kernel};
-use mcds_cds::{Algorithm, Solution, Solver};
+use mcds_cds::{Algorithm, PhaseTimings, Solver};
+use mcds_check::oracle;
 use mcds_graph::RandomAccessGraph;
+use mcds_mis::BfsMis;
 use mcds_rng::rngs::StdRng;
 use mcds_rng::SeedableRng;
 use mcds_udg::gen;
@@ -38,18 +42,24 @@ use mcds_udg::gen;
 /// `(n, giant, edges, cds, bitset solve_ms, scalar solve_ms, hot speedup)`.
 type HotpathPoint = (usize, usize, usize, usize, f64, f64, f64);
 
-/// Solves the instance with the kernel override pinned to `k`,
-/// restoring auto selection before returning.
-fn solve_forced(g: &impl RandomAccessGraph, k: Kernel) -> Solution {
-    kernel::set_override(Some(k));
-    let solution = Solver::new(Algorithm::GreedyConnect)
-        .prune(true)
-        .verify(false)
-        .timings(true)
-        .solve(g)
-        .expect("giant component is connected");
-    kernel::set_override(None);
-    solution
+/// `GreedyConnect` + prune with the scalar references in place of the
+/// production kernels: the pruned node set, the unpruned size if the
+/// prune removed anything (as `Solution::pruned_from`), and the phase
+/// timings.
+fn solve_scalar(g: &impl RandomAccessGraph) -> (Vec<usize>, Option<usize>, PhaseTimings) {
+    let mut t = PhaseTimings::default();
+    let start = Instant::now();
+    let mis = BfsMis::compute(g, 0).mis().to_vec();
+    t.phase1 = start.elapsed();
+    let start = Instant::now();
+    let connectors = oracle::max_gain_connectors_scalar(g, &mis).expect("an MIS seed never stalls");
+    t.phase2 = start.elapsed();
+    let full = mcds_graph::node_set(mis.into_iter().chain(connectors));
+    let start = Instant::now();
+    let kept = oracle::prune_scalar(g, &full).expect("phase 2 yields a CDS");
+    t.prune = start.elapsed();
+    let pruned_from = (kept.len() < full.len()).then_some(full.len());
+    (kept, pruned_from, t)
 }
 
 fn main() {
@@ -101,17 +111,22 @@ fn main() {
         let udg = gen::giant_component_instance(&mut rng, n, side);
         let g = udg.graph();
 
-        let scalar = solve_forced(g, Kernel::Scalar);
-        let bitset = solve_forced(g, Kernel::Bitset);
+        let (scalar_nodes, scalar_pruned_from, ts) = solve_scalar(g);
+        let bitset = Solver::new(Algorithm::GreedyConnect)
+            .prune(true)
+            .verify(false)
+            .timings(true)
+            .solve(g)
+            .expect("giant component is connected");
         // The whole point: the accelerated kernels are byte-identical.
         assert_eq!(
-            scalar.nodes(),
+            scalar_nodes,
             bitset.nodes(),
             "kernels diverged at n={n}: scalar and bitset CDS differ"
         );
-        assert_eq!(scalar.pruned_from(), bitset.pruned_from());
+        assert_eq!(scalar_pruned_from, bitset.pruned_from());
 
-        let (ts, tb) = (scalar.timings(), bitset.timings());
+        let tb = bitset.timings();
         let hot_scalar = (ts.phase2 + ts.prune).as_secs_f64();
         let hot_bitset = (tb.phase2 + tb.prune).as_secs_f64();
         let total_scalar = (ts.phase1 + ts.phase2 + ts.prune).as_secs_f64();

@@ -16,11 +16,11 @@
 //! * [`max_gain_then_paths`] — greedy merges while possible, shortest
 //!   paths for whatever remains; total for any seed on a connected graph.
 //!
-//! The greedy merge loop has two kernels (see [`crate::kernel`]): the
-//! scalar one rescans every candidate per selection; the bitset one
-//! keeps each candidate's merge count in a lazy bucket queue and only
-//! recomputes where a selection could have changed it.  Both pick the
-//! identical connector sequence (`tests/kernel_equiv.rs`).
+//! The greedy merge loop keeps each candidate's merge count in a lazy
+//! bucket queue and only recomputes where a selection could have changed
+//! it.  It picks the same connector sequence as a full rescan per
+//! selection (`mcds_check::oracle::max_gain_connectors_scalar`, checked
+//! by `tests/kernel_equiv.rs`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,7 +28,6 @@ use std::collections::BinaryHeap;
 use mcds_graph::bitgraph::BitSet;
 use mcds_graph::{node_mask, subsets, DisjointSets, RandomAccessGraph};
 
-use crate::kernel::{self, Kernel};
 use crate::CdsError;
 
 /// Greedy max-gain connector selection (the paper's phase 2).
@@ -47,30 +46,13 @@ pub fn max_gain_connectors<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    max_gain_connectors_with(g, seed, kernel::select(g.num_nodes()))
-}
-
-/// [`max_gain_connectors`] with an explicit kernel choice (tests and
-/// benches; the public entry point selects automatically).
-///
-/// # Errors
-///
-/// Same as [`max_gain_connectors`].
-pub fn max_gain_connectors_with<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-    kernel: Kernel,
-) -> Result<Vec<usize>, CdsError> {
     if g.num_nodes() == 0 {
         return Err(CdsError::EmptyGraph);
     }
     if !g.is_connected() {
         return Err(CdsError::DisconnectedGraph);
     }
-    let run = match kernel {
-        Kernel::Scalar => merge_scalar(g, seed, false)?,
-        Kernel::Bitset => merge_bitset(g, seed, false)?,
-    };
+    let run = merge(g, seed, false)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
@@ -91,29 +73,13 @@ pub fn max_gain_then_paths<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
 ) -> Result<Vec<usize>, CdsError> {
-    max_gain_then_paths_with(g, seed, kernel::select(g.num_nodes()))
-}
-
-/// [`max_gain_then_paths`] with an explicit kernel choice.
-///
-/// # Errors
-///
-/// Same as [`max_gain_then_paths`].
-pub fn max_gain_then_paths_with<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-    kernel: Kernel,
-) -> Result<Vec<usize>, CdsError> {
     if g.num_nodes() == 0 {
         return Err(CdsError::EmptyGraph);
     }
     if !g.is_connected() {
         return Err(CdsError::DisconnectedGraph);
     }
-    let mut run = match kernel {
-        Kernel::Scalar => merge_scalar(g, seed, true)?,
-        Kernel::Bitset => merge_bitset(g, seed, true)?,
-    };
+    let mut run = merge(g, seed, true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
         let mut grown: Vec<usize> = seed.to_vec();
@@ -126,7 +92,7 @@ pub fn max_gain_then_paths_with<G: RandomAccessGraph>(
 
 /// Outcome of a greedy merge loop: the selections made, the number of
 /// components left (1 unless the seed stalled), and how many candidate
-/// gain evaluations it took (kernel-dependent; flushed to the
+/// gain evaluations it took (flushed to the
 /// `connectors.candidates_scanned` counter by the callers).
 struct MergeRun {
     connectors: Vec<usize>,
@@ -141,66 +107,8 @@ fn stall_error(q: usize) -> CdsError {
     ))
 }
 
-/// Original kernel: one full candidate scan per selection.
-fn merge_scalar<G: RandomAccessGraph>(
-    g: &G,
-    seed: &[usize],
-    allow_stall: bool,
-) -> Result<MergeRun, CdsError> {
-    let mut mask = node_mask(g.num_nodes(), seed);
-    let mut dsu = subsets::components_dsu(g, &mask);
-    let mut q = subsets::count_components(g, &mask);
-    let mut connectors = Vec::new();
-    // Accumulated locally and flushed once by the caller: the scan below
-    // is the hot loop, and per-candidate counter updates would distort
-    // what the counter is meant to profile.
-    let mut scanned: u64 = 0;
-
-    while q > 1 {
-        // Find the node with the largest number of distinct adjacent
-        // components (gain = that count − 1), ties toward smaller id.
-        let mut best: Option<(usize, usize)> = None; // (count, node)
-        for w in 0..g.num_nodes() {
-            if mask[w] {
-                continue;
-            }
-            scanned += 1;
-            let adj = subsets::adjacent_components(g, &mask, &mut dsu, w);
-            if adj.len() >= 2 {
-                match best {
-                    Some((c, _)) if c >= adj.len() => {}
-                    _ => best = Some((adj.len(), w)),
-                }
-            }
-        }
-        let Some((count, w)) = best else {
-            if allow_stall {
-                return Ok(MergeRun {
-                    connectors,
-                    remaining: q,
-                    scanned,
-                });
-            }
-            return Err(stall_error(q));
-        };
-        mask[w] = true;
-        for u in g.successors(w) {
-            if mask[u] {
-                dsu.union(w, u);
-            }
-        }
-        q = q + 1 - count; // w joins `count` components and itself
-        connectors.push(w);
-        debug_assert_eq!(q, subsets::count_components(g, &mask));
-    }
-    Ok(MergeRun {
-        connectors,
-        remaining: q,
-        scanned,
-    })
-}
-
-/// Bitset kernel: incremental gain maintenance via a lazy bucket queue.
+/// The greedy merge loop: incremental gain maintenance via a lazy bucket
+/// queue.
 ///
 /// Every candidate `w ∉ mask` carries an *upper bound* `bucket_of[w]` on
 /// its true merge count `|{distinct components adjacent to w}|`:
@@ -213,30 +121,28 @@ fn merge_scalar<G: RandomAccessGraph>(
 ///
 /// Buckets are keyed by the bound; popping the smallest id from the
 /// highest non-empty bucket and confirming its true count against the
-/// bucket level therefore yields exactly the scalar rule's argmax (max
+/// bucket level therefore yields exactly the full-rescan argmax (max
 /// count, smallest id on ties) — stale entries are lazily demoted on
 /// pop.  Work per selection is `O(deg w · α)` for the refresh plus the
 /// lazy pops, instead of a full `O(n · deg)` rescan.
-fn merge_bitset<G: RandomAccessGraph>(
+fn merge<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
     allow_stall: bool,
 ) -> Result<MergeRun, CdsError> {
     const UNQUEUED: u32 = u32::MAX;
     let n = g.num_nodes();
-    let rows = kernel::maybe_rows(g);
-    let rows = rows.as_ref();
     let mut mask = BitSet::from_nodes(n, seed);
     let mut dsu = DisjointSets::new(n);
     let mut members = 0usize;
     let mut merges = 0usize;
     for v in mask.iter_ones() {
         members += 1;
-        kernel::for_each_neighbor(g, rows, v, |u| {
+        for u in g.successors(v) {
             if u < v && mask.contains(u) && dsu.union(u, v) {
                 merges += 1;
             }
-        });
+        }
     }
     let mut q = members - merges;
     let mut connectors = Vec::new();
@@ -262,7 +168,7 @@ fn merge_bitset<G: RandomAccessGraph>(
             continue;
         }
         scanned += 1;
-        let c = adjacent_count(g, rows, &mask, &mut dsu, w, &mut roots);
+        let c = adjacent_count(g, &mask, &mut dsu, w, &mut roots);
         enqueue(&mut buckets, &mut bucket_of, &mut top, w, c);
     }
 
@@ -280,7 +186,7 @@ fn merge_bitset<G: RandomAccessGraph>(
                 continue; // stale entry left behind by a reassignment
             }
             scanned += 1;
-            let c = adjacent_count(g, rows, &mask, &mut dsu, x, &mut roots);
+            let c = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
             debug_assert!(c <= top, "cached gain bound was not an upper bound");
             if c == top {
                 best = Some((c, x));
@@ -302,13 +208,13 @@ fn merge_bitset<G: RandomAccessGraph>(
         mask.insert(w);
         bucket_of[w] = UNQUEUED;
         to_refresh.clear();
-        kernel::for_each_neighbor(g, rows, w, |u| {
+        for u in g.successors(w) {
             if mask.contains(u) {
                 dsu.union(w, u);
             } else {
                 to_refresh.push(u);
             }
-        });
+        }
         q = q + 1 - count;
         connectors.push(w);
         // Only neighbors of the selection can *gain* adjacency to the
@@ -316,7 +222,7 @@ fn merge_bitset<G: RandomAccessGraph>(
         // stay upper bounds.
         for &x in &to_refresh {
             scanned += 1;
-            let c = adjacent_count(g, rows, &mask, &mut dsu, x, &mut roots);
+            let c = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
             if c as u32 != bucket_of[x] {
                 enqueue(&mut buckets, &mut bucket_of, &mut top, x, c);
             }
@@ -358,21 +264,20 @@ fn enqueue(
 /// materializing the sorted root list.
 fn adjacent_count<G: RandomAccessGraph>(
     g: &G,
-    rows: Option<&mcds_graph::bitgraph::BitRows>,
     mask: &BitSet,
     dsu: &mut DisjointSets,
     w: usize,
     roots: &mut Vec<usize>,
 ) -> usize {
     roots.clear();
-    kernel::for_each_neighbor(g, rows, w, |u| {
+    for u in g.successors(w) {
         if mask.contains(u) {
             let r = dsu.find(u);
             if !roots.contains(&r) {
                 roots.push(r);
             }
         }
-    });
+    }
     roots.len()
 }
 
@@ -525,10 +430,6 @@ mod tests {
         let g = Graph::path(7);
         let err = max_gain_connectors(&g, &[0, 6]).unwrap_err();
         assert!(matches!(err, CdsError::Stalled(_)));
-        // Both kernels stall with the identical diagnostic.
-        let a = max_gain_connectors_with(&g, &[0, 6], Kernel::Scalar).unwrap_err();
-        let b = max_gain_connectors_with(&g, &[0, 6], Kernel::Bitset).unwrap_err();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -548,9 +449,6 @@ mod tests {
         assert!(path_connectors(&g, &[1, 2, 3]).unwrap().is_empty());
         // Empty seed: zero components, nothing to connect.
         assert!(max_gain_connectors(&g, &[]).unwrap().is_empty());
-        assert!(max_gain_connectors_with(&g, &[], Kernel::Bitset)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]
@@ -581,9 +479,6 @@ mod tests {
         let mut all = mis.clone();
         all.extend(conn.iter().copied());
         assert!(properties::is_connected_dominating_set(&g, &all));
-        // The stall-then-paths route agrees across kernels too.
-        let b = max_gain_then_paths_with(&g, &mis, Kernel::Bitset).unwrap();
-        assert_eq!(conn, b);
     }
 
     #[test]
@@ -604,16 +499,5 @@ mod tests {
         let total: usize = trace.iter().sum();
         // Components drop from |mis| to 1.
         assert_eq!(total, mis.len() - 1);
-    }
-
-    #[test]
-    fn kernels_pick_identical_connectors() {
-        for g in [Graph::path(9), Graph::cycle(12), Graph::cycle(30)] {
-            let mis = BfsMis::compute(&g, 0).mis().to_vec();
-            let a = max_gain_connectors_with(&g, &mis, Kernel::Scalar).unwrap();
-            let b = max_gain_connectors_with(&g, &mis, Kernel::Bitset).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(gain_trace(&g, &mis, &a), gain_trace(&g, &mis, &b));
-        }
     }
 }

@@ -2,27 +2,22 @@
 //! beyond the paper, ablated in the E6 experiment).
 //!
 //! A CDS node is *redundant* if removing it leaves the set both dominating
-//! and connected.  Pruning scans candidates (largest sets first benefit
-//! most from a degree-descending order; we scan by descending degree with
-//! id tie-break) and removes greedily.  The result is a minimal — not
-//! minimum — CDS contained in the input.
+//! and connected.  Pruning scans candidates by ascending degree with id
+//! tie-break — low-degree members (leaf-like connectors) are the cheap
+//! wins — and removes greedily.  The result is a minimal — not minimum —
+//! CDS contained in the input.
 //!
-//! Two kernels implement the same scan (see [`crate::kernel`]):
-//!
-//! * **scalar** — the original per-candidate re-check: rebuild the set
-//!   minus `v` and re-run the full domination + connectivity scan,
-//! * **bitset** — incremental: maintain `cover[u] = |N(u) ∩ S|` counts
-//!   and the articulation points of `G[S]` (masked Tarjan over a
-//!   [`mcds_graph::bitgraph::BitSet`]), so a candidate is accepted or
-//!   rejected in `O(deg v)` and state is patched instead of rebuilt.
-//!
-//! Both accept exactly the same removals in the same order, so the
-//! output is byte-identical (`tests/kernel_equiv.rs`).
+//! The scan is incremental: it maintains `cover[u] = |N(u) ∩ S|` counts
+//! and the articulation points of `G[S]` (masked Tarjan over a
+//! [`mcds_graph::bitgraph::BitSet`]), so a candidate is accepted or
+//! rejected in `O(deg v)` and state is patched instead of rebuilt.  It
+//! accepts exactly the removals, in the same order, of a from-scratch
+//! re-check per candidate (`mcds_check::oracle::prune_scalar`, checked
+//! by `tests/kernel_equiv.rs`).
 
 use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
 use mcds_graph::{node_mask, subsets, RandomAccessGraph};
 
-use crate::kernel::{self, Kernel};
 use crate::CdsError;
 
 /// Greedily removes redundant nodes from a valid CDS.
@@ -35,52 +30,14 @@ use crate::CdsError;
 /// Returns the typed violation (from [`crate::check_cds`]) if `set` is
 /// not a valid CDS of `g` to begin with.
 pub fn prune_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
-    prune_cds_with(g, set, kernel::select(g.num_nodes()))
-}
-
-/// [`prune_cds`] with an explicit kernel choice (tests and benches; the
-/// public entry point selects automatically).
-///
-/// # Errors
-///
-/// Same as [`prune_cds`].
-pub fn prune_cds_with<G: RandomAccessGraph>(
-    g: &G,
-    set: &[usize],
-    kernel: Kernel,
-) -> Result<Vec<usize>, CdsError> {
     crate::check_cds(g, set)?;
     let current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
-    // Candidates by descending degree: high-degree nodes are more likely
-    // to be redundant hubs... actually low-degree CDS members (leaf-like
-    // connectors) are the cheap wins; scan ascending degree.
     let mut order = current.clone();
     order.sort_by_key(|&v| (g.degree(v), v));
-    match kernel {
-        Kernel::Scalar => Ok(prune_scalar(g, current, &order)),
-        Kernel::Bitset => Ok(prune_bitset(g, &current, &order)),
-    }
+    Ok(prune_incremental(g, &current, &order))
 }
 
-/// Original per-candidate re-check: `O(n + m)` per attempted removal.
-fn prune_scalar<G: RandomAccessGraph>(
-    g: &G,
-    mut current: Vec<usize>,
-    order: &[usize],
-) -> Vec<usize> {
-    for &v in order {
-        if current.len() <= 1 {
-            break;
-        }
-        let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
-        if is_cds_fast(g, &candidate) {
-            current = candidate;
-        }
-    }
-    current
-}
-
-/// Incremental kernel: a removal of `v` from the valid CDS `S` keeps it
+/// The incremental scan: a removal of `v` from the valid CDS `S` keeps it
 /// a CDS iff
 ///
 /// 1. `cover[v] ≥ 1` — `v` itself stays dominated,
@@ -89,20 +46,24 @@ fn prune_scalar<G: RandomAccessGraph>(
 /// 3. `v` is not an articulation point of `G[S]` — connectivity holds
 ///    (member neighbors stay dominated by membership).
 ///
-/// These are exactly the conditions the scalar full re-scan tests, so
+/// These are exactly the conditions a from-scratch CDS check tests, so
 /// scanning the same order yields the identical set.  `cover` is patched
 /// in `O(deg v)` per removal; the masked Tarjan cut set is recomputed
 /// only after an *accepted* removal (`O(Σ_{u∈S} deg u)`), not per
 /// candidate.
-fn prune_bitset<G: RandomAccessGraph>(g: &G, current: &[usize], order: &[usize]) -> Vec<usize> {
+fn prune_incremental<G: RandomAccessGraph>(
+    g: &G,
+    current: &[usize],
+    order: &[usize],
+) -> Vec<usize> {
     let n = g.num_nodes();
-    let rows = kernel::maybe_rows(g);
-    let rows = rows.as_ref();
     let mut in_set = BitSet::from_nodes(n, current);
     let mut size = current.len();
     let mut cover = vec![0u32; n];
     for &v in current {
-        kernel::for_each_neighbor(g, rows, v, |u| cover[u] += 1);
+        for u in g.successors(v) {
+            cover[u] += 1;
+        }
     }
     let mut scratch = ArticulationScratch::new();
     let mut cut = BitSet::new(n);
@@ -114,18 +75,14 @@ fn prune_bitset<G: RandomAccessGraph>(g: &G, current: &[usize], order: &[usize])
         if !in_set.contains(v) || cover[v] == 0 || cut.contains(v) {
             continue;
         }
-        let mut dominated = true;
-        kernel::for_each_neighbor(g, rows, v, |u| {
-            if dominated && !in_set.contains(u) && cover[u] < 2 {
-                dominated = false;
-            }
-        });
-        if !dominated {
+        if g.successors(v).any(|u| !in_set.contains(u) && cover[u] < 2) {
             continue;
         }
         in_set.remove(v);
         size -= 1;
-        kernel::for_each_neighbor(g, rows, v, |u| cover[u] -= 1);
+        for u in g.successors(v) {
+            cover[u] -= 1;
+        }
         bitgraph::masked_articulation_points(g, &in_set, &mut scratch, &mut cut);
         debug_assert!(is_cds_fast(g, &in_set.to_nodes()));
     }
@@ -134,62 +91,23 @@ fn prune_bitset<G: RandomAccessGraph>(g: &G, current: &[usize], order: &[usize])
 
 /// CDS check without the diagnostic string machinery (hot path).
 ///
-/// Early-exits on the first uncovered vertex; the number of scan steps
-/// taken is flushed to the `prune.scan_steps` counter so the
-/// short-circuit is observable.
+/// The domination side is a word-parallel coverage mask: OR the closed
+/// neighborhood of every member into a [`BitSet`] (one scan step per
+/// member, flushed to the `prune.scan_steps` counter), then look for the
+/// first gap with [`BitSet::first_unset`].
 pub(crate) fn is_cds_fast<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
-    let (ok, steps) = is_cds_fast_counted(g, set);
-    mcds_obs::counter!("prune.scan_steps", steps);
-    ok
-}
-
-/// [`is_cds_fast`] returning the number of domination-scan steps it
-/// performed before deciding (for the short-circuit regression test).
-///
-/// Scalar semantics: one step per vertex inspected in id order, stopping
-/// at the first uncovered vertex.  Above the kernel threshold the
-/// domination side runs as a word-parallel coverage mask instead — OR
-/// the closed neighborhood of every member into a
-/// [`mcds_graph::bitgraph::BitSet`] (one step per member row), then find
-/// the first gap with [`BitSet::first_unset`].
-pub(crate) fn is_cds_fast_counted<G: RandomAccessGraph>(g: &G, set: &[usize]) -> (bool, u64) {
     if set.is_empty() {
-        return (g.num_nodes() == 0, 0);
+        return g.num_nodes() == 0;
     }
-    match kernel::select(g.num_nodes()) {
-        Kernel::Scalar => is_cds_fast_scalar(g, set),
-        Kernel::Bitset => is_cds_fast_bitset(g, set),
-    }
-}
-
-fn is_cds_fast_scalar<G: RandomAccessGraph>(g: &G, set: &[usize]) -> (bool, u64) {
-    let mask = node_mask(g.num_nodes(), set);
-    let mut steps = 0u64;
-    for v in 0..g.num_nodes() {
-        steps += 1;
-        if !mask[v] && !g.successors(v).any(|u| mask[u]) {
-            return (false, steps);
-        }
-    }
-    (subsets::is_connected_subset(g, &mask), steps)
-}
-
-fn is_cds_fast_bitset<G: RandomAccessGraph>(g: &G, set: &[usize]) -> (bool, u64) {
     let n = g.num_nodes();
-    // Row-OR coverage mask: members cover themselves and their rows.
     let mut covered = BitSet::from_nodes(n, set);
-    let mut steps = 0u64;
     for &v in set {
-        steps += 1;
         for u in g.successors(v) {
             covered.insert(u);
         }
     }
-    if covered.first_unset().is_some() {
-        return (false, steps);
-    }
-    let mask = node_mask(n, set);
-    (subsets::is_connected_subset(g, &mask), steps)
+    mcds_obs::counter!("prune.scan_steps", set.len() as u64);
+    covered.first_unset().is_none() && subsets::is_connected_subset(g, &node_mask(n, set))
 }
 
 /// How many nodes pruning saved on `set` (convenience for experiments).
@@ -268,38 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_structured_graphs() {
-        for (g, set) in [
-            (Graph::path(10), (0..10).collect::<Vec<_>>()),
-            (Graph::complete(8), (0..8).collect()),
-            (Graph::cycle(12), (0..12).collect()),
-            (
-                Graph::from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]),
-                (0..7).collect(),
-            ),
-        ] {
-            let a = prune_cds_with(&g, &set, Kernel::Scalar).unwrap();
-            let b = prune_cds_with(&g, &set, Kernel::Bitset).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn domination_scan_short_circuits() {
-        // Set {98, 99} on P100: vertex 0 is uncovered, so the scalar scan
-        // must stop after inspecting it — one step, not one hundred.
+    fn fast_check_verdicts() {
         let g = Graph::path(100);
-        let (ok, steps) = is_cds_fast_scalar(&g, &[98, 99]);
-        assert!(!ok);
-        assert_eq!(steps, 1, "scan did not short-circuit");
-        // A valid CDS scans everything exactly once.
+        assert!(!is_cds_fast(&g, &[98, 99]));
         let interior: Vec<usize> = (1..99).collect();
-        let (ok, steps) = is_cds_fast_scalar(&g, &interior);
-        assert!(ok);
-        assert_eq!(steps, 100);
-        // The bitset coverage mask agrees on both verdicts.
-        assert!(!is_cds_fast_bitset(&g, &[98, 99]).0);
-        assert!(is_cds_fast_bitset(&g, &interior).0);
+        assert!(is_cds_fast(&g, &interior));
+        // Dominating but disconnected.
+        let split: Vec<usize> = (1..99).filter(|&v| v != 50).collect();
+        assert!(!is_cds_fast(&g, &split));
+        assert!(!is_cds_fast(&g, &[]));
+        assert!(is_cds_fast(&Graph::empty(0), &[]));
     }
 
     #[test]
@@ -309,8 +205,8 @@ mod tests {
         let before = mcds_obs::counter_value("prune.scan_steps");
         let _ = is_cds_fast(&g, &[48, 49]);
         let after = mcds_obs::counter_value("prune.scan_steps");
-        // Other parallel tests may bump the counter too; the short-circuit
-        // contract is that this call added at least its own single step.
+        // Other parallel tests may bump the counter too; this call must
+        // add at least its own steps.
         assert!(after > before, "counter did not move: {before} -> {after}");
     }
 }

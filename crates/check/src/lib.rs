@@ -20,7 +20,8 @@
 //! * [`oracle`] — the differential oracle: random UDGs small enough for
 //!   [`mcds_exact::brute`] are solved exactly and every approximation
 //!   algorithm is checked for validity and for the paper's ratio bounds
-//!   (Theorems 8 and 10);
+//!   (Theorems 8 and 10); it also holds the scalar references that the
+//!   production phase-2 and prune kernels must match;
 //! * [`fault`] — the same treatment for the fault-tolerant `(k, m)`
 //!   backbone family: `(1, m)` and `(2, m)` outputs are checked against
 //!   the independent exact-side predicates

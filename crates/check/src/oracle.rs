@@ -17,11 +17,19 @@
 //! * the first-fit MIS is no larger than the exact independence number,
 //!   which itself respects Corollary 7 (`α ≤ 11/3·γ_c + 1`),
 //! * pruning is idempotent and validity-preserving.
+//!
+//! The module also holds the scalar references for the production
+//! phase-2 and prune kernels of `mcds-cds` ([`max_gain_connectors_scalar`],
+//! [`max_gain_then_paths_scalar`], [`prune_scalar`], [`is_cds_scalar`]):
+//! the original full-rescan loops, which the incremental kernels must
+//! match byte for byte (`crates/cds/tests/kernel_equiv.rs`, E25).
 
-use mcds_cds::{prune, Algorithm};
+use mcds_cds::{connect, prune, Algorithm, CdsError};
 use mcds_exact::brute;
 use mcds_geom::Point;
-use mcds_graph::{properties, traversal::largest_component, Graph};
+use mcds_graph::{
+    node_mask, properties, subsets, traversal::largest_component, Graph, RandomAccessGraph,
+};
 use mcds_mis::{bounds, BfsMis};
 use mcds_rng::rngs::StdRng;
 use mcds_rng::Rng;
@@ -285,6 +293,134 @@ pub fn check_oracle_case(case: &OracleCase) -> TestResult {
     TestResult::Pass
 }
 
+/// Scalar reference for [`connect::max_gain_connectors`]: every
+/// selection rescans every non-seed node and takes the largest number of
+/// distinct adjacent components, ties to the smaller id.
+///
+/// # Errors
+///
+/// The same [`CdsError`] values, stall message included, as the
+/// production kernel.
+pub fn max_gain_connectors_scalar<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+) -> Result<Vec<usize>, CdsError> {
+    precheck(g)?;
+    Ok(merge_scalar(g, seed, false)?.0)
+}
+
+/// Scalar reference for [`connect::max_gain_then_paths`]: scalar
+/// max-gain merges until none is left, then the shared
+/// [`connect::path_connectors`] fallback.
+///
+/// # Errors
+///
+/// [`CdsError::EmptyGraph`] / [`CdsError::DisconnectedGraph`] on bad
+/// graphs.
+pub fn max_gain_then_paths_scalar<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+) -> Result<Vec<usize>, CdsError> {
+    precheck(g)?;
+    let (mut connectors, remaining) = merge_scalar(g, seed, true)?;
+    if remaining > 1 {
+        let mut grown = seed.to_vec();
+        grown.extend(connectors.iter().copied());
+        connectors.extend(connect::path_connectors(g, &grown)?);
+    }
+    Ok(connectors)
+}
+
+fn precheck<G: RandomAccessGraph>(g: &G) -> Result<(), CdsError> {
+    if g.num_nodes() == 0 {
+        return Err(CdsError::EmptyGraph);
+    }
+    if !g.is_connected() {
+        return Err(CdsError::DisconnectedGraph);
+    }
+    Ok(())
+}
+
+/// The greedy merge loop with one full candidate scan per selection.
+/// Returns the connectors and the number of components left (more than
+/// one only when `allow_stall` let a stalled seed through).
+fn merge_scalar<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+    allow_stall: bool,
+) -> Result<(Vec<usize>, usize), CdsError> {
+    let mut mask = node_mask(g.num_nodes(), seed);
+    let mut dsu = subsets::components_dsu(g, &mask);
+    let mut q = subsets::count_components(g, &mask);
+    let mut connectors = Vec::new();
+    while q > 1 {
+        let mut best: Option<(usize, usize)> = None; // (count, node)
+        for w in 0..g.num_nodes() {
+            if mask[w] {
+                continue;
+            }
+            let count = subsets::adjacent_components(g, &mask, &mut dsu, w).len();
+            if count >= 2 && best.is_none_or(|(c, _)| count > c) {
+                best = Some((count, w));
+            }
+        }
+        let Some((count, w)) = best else {
+            if allow_stall {
+                break;
+            }
+            return Err(CdsError::Stalled(format!(
+                "{q} components remain but no node touches two of them \
+                 (seed lacks the 2-hop separation property)"
+            )));
+        };
+        mask[w] = true;
+        for u in g.successors(w) {
+            if mask[u] {
+                dsu.union(w, u);
+            }
+        }
+        q = q + 1 - count; // w joins `count` components and itself
+        connectors.push(w);
+    }
+    Ok((connectors, q))
+}
+
+/// Scalar reference for [`prune::prune_cds`]: visits the members by
+/// ascending `(degree, id)` and drops each one whose removal still
+/// passes a from-scratch [`is_cds_scalar`].
+///
+/// # Errors
+///
+/// The typed violation from [`mcds_cds::check_cds`] if `set` is not a
+/// CDS of `g`.
+pub fn prune_scalar<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
+    mcds_cds::check_cds(g, set)?;
+    let mut current = mcds_graph::node_set(set.iter().copied());
+    let mut order = current.clone();
+    order.sort_by_key(|&v| (g.degree(v), v));
+    for v in order {
+        if current.len() <= 1 {
+            break;
+        }
+        let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
+        if is_cds_scalar(g, &candidate) {
+            current = candidate;
+        }
+    }
+    Ok(current)
+}
+
+/// Scalar CDS test: a domination scan in id order that stops at the
+/// first uncovered vertex, then a connectivity check of `G[set]`.
+pub fn is_cds_scalar<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
+    if set.is_empty() {
+        return g.num_nodes() == 0;
+    }
+    let mask = node_mask(g.num_nodes(), set);
+    (0..g.num_nodes()).all(|v| mask[v] || g.successors(v).any(|u| mask[u]))
+        && subsets::is_connected_subset(g, &mask)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,6 +476,36 @@ mod tests {
         assert!((greedy - 115.0).abs() < 1e-9);
         assert_eq!(size_bound(Algorithm::GreedyGrowth, 3), None);
         assert_eq!(size_bound(Algorithm::ChvatalSetCover, 3), None);
+    }
+
+    #[test]
+    fn scalar_references_on_known_graphs() {
+        // P7 with seed {0, 6}: no node touches both components.
+        let g = Graph::path(7);
+        assert!(matches!(
+            max_gain_connectors_scalar(&g, &[0, 6]),
+            Err(CdsError::Stalled(_))
+        ));
+        assert_eq!(
+            max_gain_then_paths_scalar(&g, &[0, 6]).unwrap(),
+            vec![1, 2, 3, 4, 5]
+        );
+        // C12 from its BFS MIS: components drop to one.
+        let g = Graph::cycle(12);
+        let mis = BfsMis::compute(&g, 0).mis().to_vec();
+        let conn = max_gain_connectors_scalar(&g, &mis).unwrap();
+        let all: Vec<usize> = mis.iter().chain(&conn).copied().collect();
+        assert!(is_cds_scalar(&g, &all));
+        // Pruning V: P10 keeps its 8 interior nodes, K8 keeps one.
+        let all: Vec<usize> = (0..10).collect();
+        assert_eq!(
+            prune_scalar(&Graph::path(10), &all).unwrap(),
+            (1..9).collect::<Vec<_>>()
+        );
+        let all: Vec<usize> = (0..8).collect();
+        assert_eq!(prune_scalar(&Graph::complete(8), &all).unwrap().len(), 1);
+        assert!(prune_scalar(&Graph::path(5), &[0, 4]).is_err());
+        assert!(!is_cds_scalar(&Graph::path(5), &[1, 3]));
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //!   connector's component counting,
 //! * [`subsets`] — induced-subgraph queries on node subsets: component
 //!   counts of `G[I ∪ U]`, connectivity of a subset, neighborhoods,
-//! * [`bitgraph`] — packed `u64` bitset node sets and adjacency rows with
-//!   word-parallel popcount/intersect/union kernels, plus masked Tarjan
+//! * [`bitgraph`] — packed `u64` bitset node sets plus masked Tarjan
 //!   articulation points (the hot-path substrate of phase 2 and prune),
 //! * [`properties`] — the domination/independence predicates that define
 //!   the paper's objects (dominating set, CDS, MIS),

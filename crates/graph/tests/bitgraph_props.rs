@@ -1,14 +1,13 @@
-//! Property tests for the word-parallel bitset primitives: every packed
-//! operation must agree with a naive bit-by-bit reference, including on
-//! hostile patterns — empty sets, all-ones, single bits at the 63/64/65
-//! word boundaries, capacities that are not multiples of 64 — and packed
-//! adjacency rows must round-trip `RandomAccessGraph` → rows → edge list
-//! on both graph backends.
+//! Property tests for the bitset primitives: every packed operation must
+//! agree with a naive bit-by-bit reference, including on hostile
+//! patterns — empty sets, all-ones, single bits at the 63/64/65 word
+//! boundaries, capacities that are not multiples of 64 — and the masked
+//! Tarjan must match Tarjan on the materialized induced subgraph.
 
 use mcds_check::gen::{usizes, vecs};
 use mcds_check::{Property, TestResult};
-use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitRows, BitSet};
-use mcds_graph::{subsets, traversal, CompactGraph, Graph, RandomAccessGraph};
+use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
+use mcds_graph::{subsets, traversal, Graph};
 
 /// Naive boolean-vector model of a [`BitSet`].
 fn model(bits: usize, nodes: &[usize]) -> Vec<bool> {
@@ -26,7 +25,7 @@ fn clamp(bits: usize, raw: &[usize]) -> Vec<usize> {
 }
 
 #[test]
-fn popcount_membership_and_gap_match_naive_model() {
+fn membership_and_gap_match_naive_model() {
     Property::new("bitset_matches_bool_model").cases(128).run(
         &(usizes(1..=300), vecs(usizes(0..=1023), 0..=400)),
         |(bits, raw)| {
@@ -34,9 +33,6 @@ fn popcount_membership_and_gap_match_naive_model() {
             let nodes = clamp(bits, raw);
             let m = model(bits, &nodes);
             let s = BitSet::from_nodes(bits, &nodes);
-            if s.count_ones() != m.iter().filter(|&&b| b).count() {
-                return TestResult::Fail("popcount diverged".into());
-            }
             if (0..bits).any(|i| s.contains(i) != m[i]) {
                 return TestResult::Fail("membership diverged".into());
             }
@@ -56,37 +52,6 @@ fn popcount_membership_and_gap_match_naive_model() {
     );
 }
 
-#[test]
-fn intersection_and_union_match_naive_loops() {
-    Property::new("bitset_and_or_match_naive").cases(128).run(
-        &(
-            usizes(1..=300),
-            vecs(usizes(0..=1023), 0..=300),
-            vecs(usizes(0..=1023), 0..=300),
-        ),
-        |(bits, raw_a, raw_b)| {
-            let bits = *bits;
-            let (na, nb) = (clamp(bits, raw_a), clamp(bits, raw_b));
-            let (ma, mb) = (model(bits, &na), model(bits, &nb));
-            let (a, b) = (BitSet::from_nodes(bits, &na), BitSet::from_nodes(bits, &nb));
-            let naive_and = (0..bits).filter(|&i| ma[i] && mb[i]).count();
-            if a.and_count(&b) != naive_and {
-                return TestResult::Fail(format!(
-                    "and_count {} != naive {naive_and}",
-                    a.and_count(&b)
-                ));
-            }
-            let mut u = a.clone();
-            u.or_assign(&b);
-            let naive_or: Vec<usize> = (0..bits).filter(|&i| ma[i] || mb[i]).collect();
-            if u.to_nodes() != naive_or {
-                return TestResult::Fail("or_assign diverged".into());
-            }
-            TestResult::Pass
-        },
-    );
-}
-
 /// The explicitly hostile patterns from the issue: empty, all-ones, a
 /// single bit at each side of a word boundary, capacities off the
 /// 64-bit grid.
@@ -94,82 +59,25 @@ fn intersection_and_union_match_naive_loops() {
 fn hostile_patterns_are_exact() {
     for bits in [1usize, 63, 64, 65, 127, 128, 129, 200] {
         let empty = BitSet::new(bits);
-        assert_eq!(empty.count_ones(), 0, "bits={bits}");
         assert_eq!(empty.first_unset(), Some(0), "bits={bits}");
         assert_eq!(empty.to_nodes(), Vec::<usize>::new());
         let all: Vec<usize> = (0..bits).collect();
         let full = BitSet::from_nodes(bits, &all);
-        assert_eq!(full.count_ones(), bits, "bits={bits}");
         assert_eq!(full.first_unset(), None, "bits={bits}");
         assert_eq!(full.to_nodes(), all, "bits={bits}");
-        assert_eq!(full.and_count(&empty), 0);
-        let mut u = empty.clone();
-        u.or_assign(&full);
-        assert_eq!(u, full);
+        let mut emptied = full.clone();
+        for &v in &all {
+            emptied.remove(v);
+        }
+        assert_eq!(emptied, empty, "bits={bits}");
     }
     for single in [63usize, 64, 65] {
         let s = BitSet::from_nodes(130, &[single]);
-        assert_eq!(s.count_ones(), 1);
         assert!(s.contains(single));
         assert!(!s.contains(single - 1) && !s.contains(single + 1));
         assert_eq!(s.to_nodes(), vec![single]);
         assert_eq!(s.first_unset(), Some(0));
     }
-}
-
-/// Random edge lists round-trip `Graph` → [`BitRows`] → edge list on
-/// both backends, and the packed masked-degree equals a naive filtered
-/// count.
-#[test]
-fn rows_roundtrip_both_backends() {
-    Property::new("bitrows_roundtrip").cases(96).run(
-        &(
-            usizes(2..=150),
-            vecs((usizes(0..=1023), usizes(0..=1023)), 0..=300),
-            vecs(usizes(0..=1023), 0..=60),
-        ),
-        |(n, raw_edges, raw_mask)| {
-            let n = *n;
-            let edges: Vec<(usize, usize)> = raw_edges
-                .iter()
-                .map(|&(u, v)| (u % n, v % n))
-                .filter(|&(u, v)| u != v)
-                .collect();
-            let g = Graph::from_edges(n, edges);
-            let want: Vec<(usize, usize)> = (0..n)
-                .flat_map(|v| {
-                    g.successors(v)
-                        .filter(move |&u| v < u)
-                        .map(move |u| (v, u))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let rows = BitRows::build(&g);
-            if rows.edges() != want {
-                return TestResult::Fail("CSR row round-trip diverged".into());
-            }
-            let compact = CompactGraph::from_graph(&g);
-            let crows = BitRows::build(&compact);
-            if crows.edges() != want {
-                return TestResult::Fail("compact row round-trip diverged".into());
-            }
-            let mask = BitSet::from_nodes(n, &clamp(n, raw_mask));
-            for v in 0..n {
-                let naive = g.successors(v).filter(|&u| mask.contains(u)).count();
-                if rows.row_and_count(v, &mask) != naive {
-                    return TestResult::Fail(format!("masked degree diverged at {v}"));
-                }
-                let mut seen = Vec::new();
-                rows.for_each_and(v, &mask, |u| seen.push(u));
-                let naive_list: Vec<usize> =
-                    g.successors(v).filter(|&u| mask.contains(u)).collect();
-                if seen != naive_list {
-                    return TestResult::Fail(format!("masked row iteration diverged at {v}"));
-                }
-            }
-            TestResult::Pass
-        },
-    );
 }
 
 /// Masked Tarjan equals materialize-then-Tarjan on random subsets of

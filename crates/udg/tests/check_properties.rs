@@ -1,8 +1,6 @@
-//! Property tests for the UDG crate on the in-tree `mcds-check` engine.
-//!
-//! This suite ports `crates/udg/tests/proptests.rs` (the proptest-based
-//! variant, gated behind `ext-tests`) onto `mcds-check` so it runs in
-//! the default `cargo test -q` with deterministic seeds and shrinking.
+//! Property tests for the UDG crate on the in-tree `mcds-check` engine,
+//! run in the default `cargo test -q` with deterministic seeds and
+//! shrinking.
 
 use mcds_check::gen::{strings, u64s, usizes, vecs};
 use mcds_check::{prop_assert, prop_assert_eq, Property, TestResult};
@@ -33,7 +31,7 @@ fn parser_never_panics_on_structured_garbage() {
         .cases(64)
         .run(&gen, |(n, radius_millis, rows)| {
             // Radius sweeps [-2, 3) in millistep increments, covering the
-            // negative/zero/degenerate band the proptest variant hit.
+            // negative/zero/degenerate band.
             let radius = *radius_millis as f64 / 1000.0 - 2.0;
             let mut text = format!("udg {n} {radius}\n");
             for r in rows {

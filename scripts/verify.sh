@@ -202,25 +202,22 @@ if want grid; then
 fi
 
 if want kernel; then
-  echo "== kernel: forced-bitset solve --json byte-identical to forced-scalar =="
-  # Cross-process equivalence gate for the bitset hot-path kernels
-  # (DESIGN.md §14): the MCDS_KERNEL env var pins the kernel below and
-  # above the auto-selection threshold (512 nodes), and the full
-  # solve --json output — every algorithm, prune on — must not differ
-  # by a byte.
-  for spec in "200 7.9 31" "1500 21.7 32"; do
+  echo "== kernel: production kernels vs scalar references, solve --json digests =="
+  # The phase-2 and prune kernels must match the scalar references in
+  # mcds_check::oracle (DESIGN.md section 14) ...
+  cargo test --quiet --release -p mcds-cds --test kernel_equiv
+  # ... and solve --json (every algorithm, prune on) must keep the bytes
+  # recorded in results/kernel_solve.sha256 at three sizes: n = 200,
+  # 1500 and 9000.
+  for spec in "200 7.9 31" "1500 21.7 32" "9000 38 33"; do
     read -r kn kside kseed <<< "$spec"
     cargo run --quiet --release -p mcds-cli -- gen --n "$kn" --side "$kside" \
       --seed "$kseed" --connected -o "$det_dir/kernel_$kn.udg" > /dev/null
-    MCDS_KERNEL=scalar cargo run --quiet --release -p mcds-cli -- solve \
-      "$det_dir/kernel_$kn.udg" --alg all --prune --json \
-      > "$det_dir/kernel_${kn}_scalar.json"
-    MCDS_KERNEL=bitset cargo run --quiet --release -p mcds-cli -- solve \
-      "$det_dir/kernel_$kn.udg" --alg all --prune --json \
-      > "$det_dir/kernel_${kn}_bitset.json"
-    diff "$det_dir/kernel_${kn}_scalar.json" "$det_dir/kernel_${kn}_bitset.json"
+    cargo run --quiet --release -p mcds-cli -- solve "$det_dir/kernel_$kn.udg" \
+      --alg all --prune --json > "$det_dir/kernel_$kn.json"
   done
-  echo "solve --json byte-identical under both kernels at n=200 and n=1500"
+  (cd "$det_dir" && sha256sum --check --strict "$OLDPWD/results/kernel_solve.sha256")
+  echo "kernel_equiv passes; solve --json matches the recorded digests at n=200, 1500, 9000"
 fi
 
 if want bench; then

@@ -1,9 +1,7 @@
-//! Workspace-wide property tests on the in-tree `mcds-check` engine.
-//!
-//! This suite ports `tests/proptests.rs` (the proptest-based variant,
-//! gated behind `ext-tests`) onto `mcds-check` so the same invariants
-//! run in the default `cargo test -q` with deterministic seeds and
-//! automatic counterexample shrinking.
+//! Workspace-wide property tests on the in-tree `mcds-check` engine:
+//! the core invariants of the paper's objects on randomized inputs, run
+//! in the default `cargo test -q` with deterministic seeds and automatic
+//! counterexample shrinking.
 
 use mcds::cds::algorithms::Algorithm;
 use mcds::prelude::*;
