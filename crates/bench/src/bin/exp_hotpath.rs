@@ -1,7 +1,7 @@
 //! E25 — the scalar references vs. the production bitset kernels on the
 //! same seeded ladder: how much wall time the incremental rewrites of
 //! phase 2 (lazy bucket-queue connector selection) and the prune
-//! post-pass (incremental cover counts + masked Tarjan) buy, with
+//! post-pass (incremental cover counts + a block-cut forest) buy, with
 //! byte-identical output asserted in-process.
 //!
 //! One seeded disk graph per `n` (same recipe as E19: giant component of
@@ -190,8 +190,9 @@ fn main() {
              every rung and cut the hot phases (max-gain connectors + prune) \
              by {:.1}x at the n >= 50k rungs -- the lazy bucket queue \
              replaces the Theta(|C| x n) rescan with amortized exact \
-             refreshes, and incremental cover counts replace the per-candidate \
-             full domination sweep.",
+             refreshes, incremental cover counts replace the per-candidate \
+             full domination sweep, and the block-cut forest re-splits \
+             only the removed node's block.",
             worst_hot
         );
     } else {

@@ -8,14 +8,15 @@
 //! CDS contained in the input.
 //!
 //! The scan is incremental: it maintains `cover[u] = |N(u) ∩ S|` counts
-//! and the articulation points of `G[S]` (masked Tarjan over a
-//! [`mcds_graph::bitgraph::BitSet`]), so a candidate is accepted or
-//! rejected in `O(deg v)` and state is patched instead of rebuilt.  It
-//! accepts exactly the removals, in the same order, of a from-scratch
-//! re-check per candidate (`mcds_check::oracle::prune_scalar`, checked
-//! by `tests/kernel_equiv.rs`).
+//! and the blocks and cut vertices of `G[S]` (a
+//! [`mcds_graph::bitgraph::BlockForest`]), so a candidate is accepted or
+//! rejected in `O(deg v)`.  An accepted removal re-splits only the one
+//! block that held it.  The scan accepts exactly the removals, in the
+//! same order, of a from-scratch re-check per candidate
+//! (`mcds_check::oracle::prune_scalar`, checked by
+//! `tests/kernel_equiv.rs`).
 
-use mcds_graph::bitgraph::{self, ArticulationScratch, BitSet};
+use mcds_graph::bitgraph::{BitSet, BlockForest};
 use mcds_graph::{node_mask, subsets, RandomAccessGraph};
 
 use crate::CdsError;
@@ -47,10 +48,11 @@ pub fn prune_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize
 ///    (member neighbors stay dominated by membership).
 ///
 /// These are exactly the conditions a from-scratch CDS check tests, so
-/// scanning the same order yields the identical set.  `cover` is patched
-/// in `O(deg v)` per removal; the masked Tarjan cut set is recomputed
-/// only after an *accepted* removal (`O(Σ_{u∈S} deg u)`), not per
-/// candidate.
+/// scanning the same order yields the identical set.  Per accepted
+/// removal, `cover` is patched in `O(deg v)` and the forest re-splits
+/// the one block `B` that held `v` in `O(Σ_{u∈B} deg u)`; a rejected
+/// candidate changes nothing.  Σ|B − v| over the accepted removals goes
+/// to the `prune.resplit_nodes` counter, once per call.
 fn prune_incremental<G: RandomAccessGraph>(
     g: &G,
     current: &[usize],
@@ -65,14 +67,13 @@ fn prune_incremental<G: RandomAccessGraph>(
             cover[u] += 1;
         }
     }
-    let mut scratch = ArticulationScratch::new();
-    let mut cut = BitSet::new(n);
-    bitgraph::masked_articulation_points(g, &in_set, &mut scratch, &mut cut);
+    let mut forest = BlockForest::new(g, current);
+    let mut resplit = 0u64;
     for &v in order {
         if size <= 1 {
             break;
         }
-        if !in_set.contains(v) || cover[v] == 0 || cut.contains(v) {
+        if !in_set.contains(v) || cover[v] == 0 || forest.is_cut(v) {
             continue;
         }
         if g.successors(v).any(|u| !in_set.contains(u) && cover[u] < 2) {
@@ -83,9 +84,10 @@ fn prune_incremental<G: RandomAccessGraph>(
         for u in g.successors(v) {
             cover[u] -= 1;
         }
-        bitgraph::masked_articulation_points(g, &in_set, &mut scratch, &mut cut);
+        resplit += forest.remove(g, v) as u64;
         debug_assert!(is_cds_fast(g, &in_set.to_nodes()));
     }
+    mcds_obs::counter!("prune.resplit_nodes", resplit);
     in_set.to_nodes()
 }
 
@@ -208,5 +210,23 @@ mod tests {
         // Other parallel tests may bump the counter too; this call must
         // add at least its own steps.
         assert!(after > before, "counter did not move: {before} -> {after}");
+    }
+
+    #[test]
+    fn resplit_nodes_reach_the_obs_counter() {
+        mcds_obs::enable();
+        // C6 from V: dropping 0 re-splits the other 5 nodes, dropping 1
+        // then takes a leaf off the path 1..=5, and nothing else can go.
+        let g = Graph::cycle(6);
+        let all: Vec<usize> = (0..6).collect();
+        let before = mcds_obs::counter_value("prune.resplit_nodes");
+        assert_eq!(prune_cds(&g, &all).unwrap(), vec![2, 3, 4, 5]);
+        let after = mcds_obs::counter_value("prune.resplit_nodes");
+        // Other parallel tests may bump the counter too; this call must
+        // add at least its own 5 + 1 nodes.
+        assert!(
+            after >= before + 6,
+            "counter moved too little: {before} -> {after}"
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! Differential kernel suite: the production phase-2 and prune kernels
 //! (a lazy bucket queue for the max-gain argmax, incremental cover
-//! counts + masked Tarjan for the prune scan) must be *byte-identical*
-//! to the scalar references in `mcds_check::oracle` — same connector
-//! sequences, same gain traces, same pruned sets, same `Solution`s,
-//! same errors — on every oracle-scale instance, on 200+ seeded UDG
-//! deployments, on word-boundary graphs and on a 1 500-node instance.
+//! counts + a block-cut forest for the prune scan) must be
+//! *byte-identical* to the scalar references in `mcds_check::oracle` —
+//! same connector sequences, same gain traces, same pruned sets, same
+//! `Solution`s, same errors — on every oracle-scale instance, on 200+
+//! seeded UDG deployments, on word-boundary graphs, on a 1 500-node
+//! instance and on a 3 000-node WAF backbone with a giant block.
 //!
 //! Every check goes through the public entry points, so it tests the
 //! path production runs at that size.  Anything short of bit-equality
@@ -15,6 +16,7 @@ use mcds_cds::prune::prune_cds;
 use mcds_cds::{Algorithm, Cds, CdsError, Solver};
 use mcds_check::oracle::{self, oracle_cases};
 use mcds_check::Gen;
+use mcds_graph::bitgraph::BlockForest;
 use mcds_graph::traversal::largest_component;
 use mcds_graph::Graph;
 use mcds_mis::BfsMis;
@@ -235,4 +237,34 @@ fn n1500_instance_matches_references() {
     assert_eq!(g.num_edges(), 7223, "instance drifted from the CLI recipe");
     assert_matches_oracle(g, "n1500");
     assert_solver_matches_oracle(g, "n1500");
+}
+
+/// A WafTree backbone with one giant block.  Greedy blocks stay tiny
+/// (≤ 11 nodes up to n = 20k), so the cases above almost never re-split
+/// a large block; WAF's unpruned CDS on a sparse uniform deployment has
+/// a block of hundreds of nodes, re-split on every removal inside it.
+#[test]
+fn waf_giant_block_prune_matches_references() {
+    let mut rng = StdRng::seed_from_u64(1);
+    let udg = gen::connected_uniform(&mut rng, 3000, 28.0, 100).expect("connected instance");
+    let g = udg.graph();
+    assert_eq!(g.num_edges(), 17687, "instance drifted from its recipe");
+    let cds = Solver::new(Algorithm::WafTree)
+        .verify(true)
+        .solve(g)
+        .expect("connected instance solves")
+        .into_cds();
+    let largest = BlockForest::new(g, cds.nodes()).largest_block();
+    assert!(largest > 500, "largest block has only {largest} nodes");
+    assert_eq!(
+        prune_cds(g, cds.nodes()),
+        oracle::prune_scalar(g, cds.nodes()),
+        "prune_cds diverged on the giant-block WAF CDS"
+    );
+    let got = Solver::new(Algorithm::WafTree)
+        .prune(true)
+        .verify(true)
+        .solve(g)
+        .map(|s| (s.cds().clone(), s.pruned_from()));
+    assert_eq!(got, oracle_solution(g, Algorithm::WafTree));
 }

@@ -8,9 +8,10 @@
 //!
 //! * [`BitSet`] — a fixed-capacity node set, one bit per node, with a
 //!   word-at-a-time first-gap search ([`BitSet::first_unset`]),
-//! * [`masked_articulation_points`] — iterative Tarjan restricted to a
-//!   [`BitSet`] mask with reusable scratch, the connectivity side of the
-//!   incremental prune kernel (no induced subgraph is materialized).
+//! * [`BlockForest`] — the blocks and cut vertices of an induced
+//!   subgraph `G[S]`, re-split block-locally as non-cut members are
+//!   removed: the connectivity side of the incremental prune kernel (no
+//!   induced subgraph is materialized).
 //!
 //! Trailing bits past the logical capacity are kept zero at all times;
 //! the word-level routines rely on that invariant.
@@ -161,105 +162,238 @@ impl Iterator for Ones<'_> {
     }
 }
 
-/// Reusable `disc`/`low` buffers for [`masked_articulation_points`].
+/// Sentinel for "no block" in the [`BlockForest`] tables.
+const NONE: u32 = u32::MAX;
+
+/// The blocks (biconnected components) and cut vertices of an induced
+/// subgraph `G[S]`, kept current while non-cut members are removed.
 ///
-/// The incremental prune kernel recomputes articulation points after
-/// every accepted removal; the scratch avoids an `O(n)` allocation per
-/// call (only the mask's members are reset between calls).
-#[derive(Debug, Default)]
-pub struct ArticulationScratch {
-    disc: Vec<usize>,
-    low: Vec<usize>,
+/// Every component of `G[S]` that has an edge is a tree of blocks joined
+/// at cut vertices.  The forest roots each tree at one block; every
+/// other block has a *head*, the cut vertex it shares with the block one
+/// step closer to the root.  A member therefore lies in exactly one
+/// block as a non-head (its *home*) plus the blocks it heads, and it is
+/// a cut vertex iff it heads at least one block.  An isolated member
+/// lies in no block.
+///
+/// A non-cut member `v` lies in exactly one block `B`, so removing it can
+/// change cut status only inside `B` ([`BlockForest::remove`]).  If
+/// `B − v` is a single node `w`, `w` just loses `B`.  Otherwise one
+/// iterative vertex-stack Tarjan runs on `G[B − v]` only — connected,
+/// because `B` was 2-connected — and replaces `B` by its blocks.  A
+/// removal costs `O(Σ_{u∈B} deg u)` instead of a pass over all of
+/// `G[S]`.
+///
+/// ```
+/// use mcds_graph::bitgraph::BlockForest;
+/// use mcds_graph::Graph;
+/// // Two triangles sharing node 2.
+/// let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+/// let mut f = BlockForest::new(&g, &[0, 1, 2, 3, 4]);
+/// assert!(f.is_cut(2) && !f.is_cut(0));
+/// assert_eq!(f.remove(&g, 0), 2); // {1, 2} is re-split into a bridge
+/// assert!(f.is_cut(2) && !f.is_cut(1));
+/// assert_eq!(f.remove(&g, 1), 1); // leaf: 2 keeps only its other block
+/// assert!(!f.is_cut(2));
+/// ```
+#[derive(Debug)]
+pub struct BlockForest {
+    /// Node list per block slot; free slots are empty and listed in `free`.
+    blocks: Vec<Vec<u32>>,
+    /// Head of each block; `NONE` for the root block of a component.
+    head: Vec<u32>,
+    free: Vec<u32>,
+    /// The block in which a member is not the head; `NONE` for
+    /// non-members and isolated members.
+    home: Vec<u32>,
+    /// How many blocks each member heads.
+    heads: Vec<u32>,
+    // Tarjan scratch.  `stamp[u] == epoch` marks the nodes of the current
+    // split; `disc` is reset only for those nodes.
+    stamp: Vec<u32>,
+    epoch: u32,
+    disc: Vec<u32>,
+    low: Vec<u32>,
+    vstack: Vec<u32>,
+    work: Vec<u32>,
 }
 
-impl ArticulationScratch {
-    /// Empty scratch; buffers grow lazily to the graph size on first use.
-    pub fn new() -> Self {
-        ArticulationScratch::default()
-    }
-}
-
-/// Articulation points of the induced subgraph `G[mask]`, without
-/// materializing it.
-///
-/// Iterative Tarjan lowlink over `g` restricted to `mask`: non-member
-/// successors are skipped in place, so the cost is `O(Σ_{v∈mask} deg v)`
-/// per call and no induced CSR is built.  Results land in `cut` (resized
-/// and cleared as needed); `scratch` carries the timestamp buffers
-/// across calls.  Node ids are in `g`'s numbering, exactly the set
-/// `crate::traversal::articulation_points` would report on the
-/// materialized induced subgraph mapped back through its node map.
-///
-/// # Panics
-///
-/// Panics if `mask` was not sized for `g`.
-pub fn masked_articulation_points<G: RandomAccessGraph>(
-    g: &G,
-    mask: &BitSet,
-    scratch: &mut ArticulationScratch,
-    cut: &mut BitSet,
-) {
-    let n = g.num_nodes();
-    assert_eq!(mask.capacity(), n, "mask capacity mismatch");
-    if scratch.disc.len() < n {
-        scratch.disc.resize(n, usize::MAX);
-        scratch.low.resize(n, usize::MAX);
-    }
-    // Only member entries are ever read, so resetting members suffices no
-    // matter what a previous call (with a different mask) left behind.
-    for v in mask.iter_ones() {
-        scratch.disc[v] = usize::MAX;
-    }
-    if cut.capacity() != n {
-        *cut = BitSet::new(n);
-    } else {
-        cut.clear();
-    }
-    let disc = &mut scratch.disc;
-    let low = &mut scratch.low;
-    let mut timer = 0usize;
-    for root in mask.iter_ones() {
-        if disc[root] != usize::MAX {
-            continue;
+impl BlockForest {
+    /// The blocks of `G[members]`, built by one Tarjan pass per component.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member id is `≥ g.num_nodes()`.
+    pub fn new<G: RandomAccessGraph>(g: &G, members: &[usize]) -> Self {
+        let n = g.num_nodes();
+        assert!(n < NONE as usize, "graph too large for a block forest");
+        let mut f = BlockForest {
+            blocks: Vec::new(),
+            head: Vec::new(),
+            free: Vec::new(),
+            home: vec![NONE; n],
+            heads: vec![0; n],
+            stamp: vec![0; n],
+            epoch: 1,
+            disc: vec![NONE; n],
+            low: vec![0; n],
+            vstack: Vec::new(),
+            work: Vec::new(),
+        };
+        for &v in members {
+            assert!(v < n, "node index {v} out of range for {n} nodes");
+            f.stamp[v] = f.epoch;
         }
+        for &v in members {
+            if f.disc[v] == NONE {
+                f.split(g, v, false);
+            }
+        }
+        f
+    }
+
+    /// Whether `v` is a cut vertex (articulation point) of the current
+    /// `G[S]`.  Non-members are never cut vertices.
+    pub fn is_cut(&self, v: usize) -> bool {
+        self.heads.get(v).is_some_and(|&h| h > 0)
+    }
+
+    /// Node count of the largest live block (0 if there is none): how
+    /// much a removal can cost at most, up to degrees.
+    pub fn largest_block(&self) -> usize {
+        self.blocks.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// Removes the non-cut member `v` and re-splits its block; returns
+    /// `|B − v|`, the number of nodes re-split (0 for an isolated member).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is a cut vertex or `≥ g.num_nodes()`.
+    pub fn remove<G: RandomAccessGraph>(&mut self, g: &G, v: usize) -> usize {
+        assert!(!self.is_cut(v), "node {v} is a cut vertex");
+        let b = std::mem::replace(&mut self.home[v], NONE);
+        if b == NONE {
+            return 0;
+        }
+        let head = self.head[b as usize];
+        let block = &mut self.blocks[b as usize];
+        self.work.clear();
+        self.work
+            .extend(block.iter().copied().filter(|&u| u as usize != v));
+        block.clear();
+        self.free.push(b);
+        if head != NONE {
+            self.heads[head as usize] -= 1;
+        }
+        let rest = self.work.len();
+        if rest == 1 {
+            // The leaf case.  A headed `B = {v, w}` had head `w`, which
+            // has just lost it.  A root `B` leaves `w` isolated, or makes
+            // one of the blocks `w` heads the new root; every member
+            // neighbor of `w` now lies in such a block, as a non-head.
+            let w = self.work[0] as usize;
+            if head == NONE {
+                self.home[w] = NONE;
+                if self.heads[w] > 0 {
+                    let c = g
+                        .successors(w)
+                        .map(|x| self.home[x])
+                        .find(|&c| c != NONE && self.head[c as usize] == w as u32)
+                        .expect("a block headed by w holds a neighbor of w");
+                    self.head[c as usize] = NONE;
+                    self.home[w] = c;
+                    self.heads[w] -= 1;
+                }
+            }
+        } else {
+            self.epoch += 1;
+            for &u in &self.work {
+                self.stamp[u as usize] = self.epoch;
+                self.disc[u as usize] = NONE;
+            }
+            // A headed block is re-split from its head, so the new blocks
+            // keep hanging off the same cut vertex.
+            let (root, headed) = match head {
+                NONE => (self.work[0] as usize, false),
+                h => (h as usize, true),
+            };
+            self.split(g, root, headed);
+        }
+        rest
+    }
+
+    /// Iterative vertex-stack Tarjan over the stamped nodes reachable
+    /// from `root`, recording every block it closes.  A block's head is
+    /// its node nearest `root`; unless `headed`, the first block closed
+    /// at `root` becomes the root block instead.
+    fn split<G: RandomAccessGraph>(&mut self, g: &G, root: usize, headed: bool) {
+        let epoch = self.epoch;
+        let mut need_root = !headed;
+        self.disc[root] = 0;
+        self.low[root] = 0;
+        let mut timer = 1u32;
+        self.vstack.push(root as u32);
         // Same frame layout as `traversal::articulation_points`: node,
         // parent, live successor iterator (resumable across pushes).
         let mut stack: Vec<(usize, usize, G::Successors<'_>)> =
             vec![(root, usize::MAX, g.successors(root))];
-        let mut root_children = 0usize;
-        disc[root] = timer;
-        low[root] = timer;
-        timer += 1;
         while let Some(top) = stack.last_mut() {
             let (v, parent) = (top.0, top.1);
             if let Some(u) = top.2.next() {
-                if !mask.contains(u) {
+                if self.stamp[u] != epoch {
                     continue;
                 }
-                if disc[u] == usize::MAX {
-                    disc[u] = timer;
-                    low[u] = timer;
+                if self.disc[u] == NONE {
+                    self.disc[u] = timer;
+                    self.low[u] = timer;
                     timer += 1;
-                    if v == root {
-                        root_children += 1;
-                    }
+                    self.vstack.push(u as u32);
                     stack.push((u, v, g.successors(u)));
                 } else if u != parent {
-                    low[v] = low[v].min(disc[u]);
+                    self.low[v] = self.low[v].min(self.disc[u]);
                 }
-            } else {
-                stack.pop();
-                if let Some(prev) = stack.last_mut() {
-                    let p = prev.0;
-                    low[p] = low[p].min(low[v]);
-                    if p != root && low[v] >= disc[p] {
-                        cut.insert(p);
-                    }
+                continue;
+            }
+            stack.pop();
+            let Some(&(p, ..)) = stack.last() else {
+                break;
+            };
+            self.low[p] = self.low[p].min(self.low[v]);
+            if self.low[v] < self.disc[p] {
+                continue;
+            }
+            // `p` closes a block: `v`'s subtree down the vertex stack.
+            let id = self.alloc_block();
+            loop {
+                let x = self.vstack.pop().expect("v is on the vertex stack");
+                self.blocks[id].push(x);
+                self.home[x as usize] = id as u32;
+                if x as usize == v {
+                    break;
                 }
             }
+            self.blocks[id].push(p as u32);
+            if need_root && p == root {
+                need_root = false;
+                self.head[id] = NONE;
+                self.home[p] = id as u32;
+            } else {
+                self.head[id] = p as u32;
+                self.heads[p] += 1;
+            }
         }
-        if root_children >= 2 {
-            cut.insert(root);
+        self.vstack.clear();
+    }
+
+    fn alloc_block(&mut self) -> usize {
+        match self.free.pop() {
+            Some(b) => b as usize,
+            None => {
+                self.blocks.push(Vec::new());
+                self.head.push(NONE);
+                self.blocks.len() - 1
+            }
         }
     }
 }
@@ -267,7 +401,7 @@ pub fn masked_articulation_points<G: RandomAccessGraph>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{subsets, traversal, Graph};
+    use crate::Graph;
 
     #[test]
     fn insert_remove_contains_roundtrip() {
@@ -296,51 +430,19 @@ mod tests {
     }
 
     #[test]
-    fn masked_articulation_matches_full_tarjan_on_full_mask() {
-        for g in [
-            Graph::path(9),
-            Graph::cycle(8),
-            Graph::from_edges(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (4, 6)]),
-        ] {
-            let full = BitSet::from_nodes(g.num_nodes(), &(0..g.num_nodes()).collect::<Vec<_>>());
-            let mut scratch = ArticulationScratch::new();
-            let mut cut = BitSet::new(g.num_nodes());
-            masked_articulation_points(&g, &full, &mut scratch, &mut cut);
-            assert_eq!(cut.to_nodes(), traversal::articulation_points(&g));
-        }
-    }
-
-    #[test]
-    fn masked_articulation_matches_induced_subgraph_and_scratch_reuses() {
-        let g = Graph::from_edges(
-            10,
-            [
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 8),
-                (8, 9),
-                (9, 4),
-            ],
-        );
-        let mut scratch = ArticulationScratch::new();
-        let mut cut = BitSet::new(g.num_nodes());
-        // Two different masks through the same scratch: stale timestamps
-        // from the first run must not poison the second.
-        for members in [vec![0, 1, 2, 3, 4, 5], vec![3, 4, 5, 6, 7, 8, 9]] {
-            let mask = BitSet::from_nodes(g.num_nodes(), &members);
-            masked_articulation_points(&g, &mask, &mut scratch, &mut cut);
-            let (sub, map) = subsets::induced_subgraph(&g, &members);
-            let expect: Vec<usize> = traversal::articulation_points(&sub)
-                .into_iter()
-                .map(|v| map[v])
-                .collect();
-            assert_eq!(cut.to_nodes(), expect);
-        }
+    fn forest_resplits_a_cycle_into_bridges() {
+        // C5 is one block; dropping node 0 leaves the path 1-2-3-4.
+        let g = Graph::cycle(5);
+        let mut f = BlockForest::new(&g, &[0, 1, 2, 3, 4]);
+        assert!((0..5).all(|v| !f.is_cut(v)));
+        assert_eq!(f.remove(&g, 0), 4);
+        let cut: Vec<usize> = (0..5).filter(|&v| f.is_cut(v)).collect();
+        assert_eq!(cut, vec![2, 3]);
+        // Peel the path from the end: each removal is a leaf case.
+        assert_eq!(f.remove(&g, 4), 1);
+        assert_eq!(f.remove(&g, 1), 1);
+        assert!(!f.is_cut(2) && !f.is_cut(3));
+        assert_eq!(f.remove(&g, 2), 1);
+        assert_eq!(f.remove(&g, 3), 0, "the last member is isolated");
     }
 }

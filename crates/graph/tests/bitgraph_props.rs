@@ -1,12 +1,13 @@
 //! Property tests for the bitset primitives: every packed operation must
 //! agree with a naive bit-by-bit reference, including on hostile
 //! patterns — empty sets, all-ones, single bits at the 63/64/65 word
-//! boundaries, capacities that are not multiples of 64 — and the masked
-//! Tarjan must match Tarjan on the materialized induced subgraph.
+//! boundaries, capacities that are not multiples of 64 — and the block
+//! forest's cut set must match Tarjan on the materialized induced
+//! subgraph after every removal.
 
 use mcds_check::gen::{usizes, vecs};
 use mcds_check::{Property, TestResult};
-use mcds_graph::bitgraph::{masked_articulation_points, ArticulationScratch, BitSet};
+use mcds_graph::bitgraph::{BitSet, BlockForest};
 use mcds_graph::{subsets, traversal, Graph};
 
 /// Naive boolean-vector model of a [`BitSet`].
@@ -80,20 +81,73 @@ fn hostile_patterns_are_exact() {
     }
 }
 
-/// Masked Tarjan equals materialize-then-Tarjan on random subsets of
-/// random graphs, with the scratch reused across cases (stale timestamps
-/// must never leak between masks).
+/// The forest's cut set, in ascending order, over the current members.
+fn forest_cuts(forest: &BlockForest, members: &[usize]) -> Vec<usize> {
+    members
+        .iter()
+        .copied()
+        .filter(|&v| forest.is_cut(v))
+        .collect()
+}
+
+/// Articulation points of the materialized `G[members]`, in `g`'s ids.
+fn induced_cuts(g: &Graph, members: &[usize]) -> Vec<usize> {
+    let (sub, map) = subsets::induced_subgraph(g, members);
+    let mut cuts: Vec<usize> = traversal::articulation_points(&sub)
+        .into_iter()
+        .map(|v| map[v])
+        .collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+/// Removes non-cut members of `g` one at a time — the member at
+/// `pick % (number of non-cut members)` for each pick, then the
+/// smallest non-cut member once the picks run out — and checks the
+/// forest's cut set against the induced reference after the build and
+/// after every removal.  Stops when no member is left.
+fn check_removals(g: &Graph, members: &[usize], picks: &[usize]) -> Result<(), String> {
+    let mut members = mcds_graph::node_set(members.iter().copied());
+    let mut forest = BlockForest::new(g, &members);
+    let mut step = 0usize;
+    loop {
+        let got = forest_cuts(&forest, &members);
+        let want = induced_cuts(g, &members);
+        if got != want {
+            return Err(format!(
+                "after {step} removals, members {members:?}: cut set {got:?} != induced reference {want:?}"
+            ));
+        }
+        let free: Vec<usize> = members
+            .iter()
+            .copied()
+            .filter(|&v| !forest.is_cut(v))
+            .collect();
+        let Some(&first) = free.first() else {
+            return Ok(());
+        };
+        let v = picks.get(step).map_or(first, |&p| free[p % free.len()]);
+        forest.remove(g, v);
+        members.retain(|&u| u != v);
+        step += 1;
+    }
+}
+
+/// The block forest tracks the articulation points of `G[S]` exactly
+/// while random non-cut members leave random subsets of random graphs
+/// (connected or not, with isolated members).
 #[test]
-fn masked_articulation_matches_induced_reference() {
-    Property::new("masked_articulation_matches_induced")
+fn forest_cut_set_matches_induced_reference_under_removals() {
+    Property::new("forest_matches_induced_under_removals")
         .cases(96)
         .run(
             &(
                 usizes(2..=80),
                 vecs((usizes(0..=1023), usizes(0..=1023)), 0..=200),
                 vecs(usizes(0..=1023), 0..=60),
+                vecs(usizes(0..=1023), 0..=60),
             ),
-            |(n, raw_edges, raw_mask)| {
+            |(n, raw_edges, raw_members, picks)| {
                 let n = *n;
                 let edges: Vec<(usize, usize)> = raw_edges
                     .iter()
@@ -101,23 +155,102 @@ fn masked_articulation_matches_induced_reference() {
                     .filter(|&(u, v)| u != v)
                     .collect();
                 let g = Graph::from_edges(n, edges);
-                let members = mcds_graph::node_set(clamp(n, raw_mask));
-                let mask = BitSet::from_nodes(n, &members);
-                let mut scratch = ArticulationScratch::new();
-                let mut cut = BitSet::new(n);
-                masked_articulation_points(&g, &mask, &mut scratch, &mut cut);
-                let (sub, map) = subsets::induced_subgraph(&g, &members);
-                let want: Vec<usize> = traversal::articulation_points(&sub)
-                    .into_iter()
-                    .map(|v| map[v])
-                    .collect();
-                if cut.to_nodes() != want {
-                    return TestResult::Fail(format!(
-                        "cut set {:?} != induced reference {want:?}",
-                        cut.to_nodes()
-                    ));
+                match check_removals(&g, &clamp(n, raw_members), picks) {
+                    Ok(()) => TestResult::Pass,
+                    Err(e) => TestResult::Fail(e),
                 }
-                TestResult::Pass
             },
         );
+}
+
+/// Random removals from every node of dense-ish random graphs: large
+/// blocks that re-split many times, the case random subsets rarely hit.
+#[test]
+fn forest_matches_reference_when_large_blocks_resplit() {
+    Property::new("forest_resplits_large_blocks").cases(48).run(
+        &(
+            usizes(20..=90),
+            vecs((usizes(0..=1023), usizes(0..=1023)), 100..=400),
+            vecs(usizes(0..=1023), 0..=90),
+        ),
+        |(n, raw_edges, picks)| {
+            let n = *n;
+            let edges: Vec<(usize, usize)> = raw_edges
+                .iter()
+                .map(|&(u, v)| (u % n, v % n))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            let g = Graph::from_edges(n, edges);
+            let all: Vec<usize> = (0..n).collect();
+            match check_removals(&g, &all, picks) {
+                Ok(()) => TestResult::Pass,
+                Err(e) => TestResult::Fail(e),
+            }
+        },
+    );
+}
+
+/// Removing the pendant of a leaf block turns its cut vertex back into
+/// a non-cut one: two triangles sharing node 2, plus 5 hanging off 4.
+#[test]
+fn forest_leaf_removal_uncuts_its_neighbor() {
+    let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 5)]);
+    let all: Vec<usize> = (0..6).collect();
+    let mut forest = BlockForest::new(&g, &all);
+    assert_eq!(forest_cuts(&forest, &all), vec![2, 4]);
+    assert_eq!(forest.remove(&g, 5), 1);
+    assert_eq!(forest_cuts(&forest, &[0, 1, 2, 3, 4]), vec![2]);
+    // Every non-cut node removed first, then the rest in id order.
+    check_removals(&g, &all, &[]).unwrap();
+    for first in 0..6 {
+        check_removals(&g, &all, &[first]).unwrap();
+    }
+}
+
+/// A cycle is one block; removing any node leaves a path whose interior
+/// nodes are all cut vertices, then the path peels from its ends.
+#[test]
+fn forest_cycle_becomes_a_path() {
+    for n in [3usize, 4, 9, 64] {
+        let g = Graph::cycle(n);
+        let all: Vec<usize> = (0..n).collect();
+        let mut forest = BlockForest::new(&g, &all);
+        assert!(forest_cuts(&forest, &all).is_empty());
+        assert_eq!(forest.remove(&g, 0), n - 1);
+        let rest: Vec<usize> = (1..n).collect();
+        let interior: Vec<usize> = (2..n - 1).collect();
+        assert_eq!(forest_cuts(&forest, &rest), interior, "C{n}");
+        for pick in 0..n.min(8) {
+            check_removals(&g, &all, &[pick, pick + 1, 3 * pick]).unwrap();
+        }
+    }
+}
+
+/// K_n stays one block under every removal until a single edge is left.
+#[test]
+fn forest_complete_graph_never_cuts() {
+    let n = 12;
+    let g = Graph::complete(n);
+    let mut members: Vec<usize> = (0..n).collect();
+    let mut forest = BlockForest::new(&g, &members);
+    for v in 0..n {
+        assert!(forest_cuts(&forest, &members).is_empty());
+        assert_eq!(forest.remove(&g, v), n - v - 1);
+        members.retain(|&u| u != v);
+    }
+    check_removals(&g, &(0..n).collect::<Vec<_>>(), &[5, 3, 7, 1]).unwrap();
+}
+
+/// The 63/64/65-node word-boundary graphs from the kernel suite: paths,
+/// cycles and a star with its hub at node 0.
+#[test]
+fn forest_word_boundary_graphs() {
+    for n in [63usize, 64, 65] {
+        let star = Graph::from_edges(n, (1..n).map(|v| (0, v)).collect::<Vec<_>>());
+        let all: Vec<usize> = (0..n).collect();
+        for g in [Graph::path(n), Graph::cycle(n), star] {
+            check_removals(&g, &all, &[]).unwrap();
+            check_removals(&g, &all, &[n - 1, n / 2, 7, 63, 64]).unwrap();
+        }
+    }
 }

@@ -207,9 +207,9 @@ if want kernel; then
   # mcds_check::oracle (DESIGN.md section 14) ...
   cargo test --quiet --release -p mcds-cds --test kernel_equiv
   # ... and solve --json (every algorithm, prune on) must keep the bytes
-  # recorded in results/kernel_solve.sha256 at three sizes: n = 200,
-  # 1500 and 9000.
-  for spec in "200 7.9 31" "1500 21.7 32" "9000 38 33"; do
+  # recorded in results/kernel_solve.sha256 at four sizes: n = 200,
+  # 1500, 9000 and 30000 (no oracle can afford the last one).
+  for spec in "200 7.9 31" "1500 21.7 32" "9000 38 33" "30000 85 41"; do
     read -r kn kside kseed <<< "$spec"
     cargo run --quiet --release -p mcds-cli -- gen --n "$kn" --side "$kside" \
       --seed "$kseed" --connected -o "$det_dir/kernel_$kn.udg" > /dev/null
@@ -217,7 +217,7 @@ if want kernel; then
       --alg all --prune --json > "$det_dir/kernel_$kn.json"
   done
   (cd "$det_dir" && sha256sum --check --strict "$OLDPWD/results/kernel_solve.sha256")
-  echo "kernel_equiv passes; solve --json matches the recorded digests at n=200, 1500, 9000"
+  echo "kernel_equiv passes; solve --json matches the recorded digests at n=200, 1500, 9000, 30000"
 fi
 
 if want bench; then
