@@ -16,13 +16,16 @@
 //! * [`max_gain_then_paths`] — greedy merges while possible, shortest
 //!   paths for whatever remains; total for any seed on a connected graph.
 //!
-//! The greedy merge loop keeps each candidate's merge count in a lazy
-//! bucket queue and only recomputes where a selection could have changed
-//! it.  It picks the same connector sequence as a full rescan per
-//! selection (`mcds_check::oracle::max_gain_connectors_scalar`, checked
-//! by `tests/kernel_equiv.rs`).
+//! All three, and the fault family's weighted connectors
+//! ([`crate::fault::weighted_max_gain_connectors`]), run one merge
+//! kernel.  It ranks candidates by merge gain per unit of node weight in
+//! a lazy bucket queue and only recomputes where a selection could have
+//! changed a gain.  It picks the same connector sequence as a full
+//! rescan per selection (`mcds_check::oracle::max_gain_connectors_scalar`
+//! and `weighted_max_gain_connectors_scalar`, checked by
+//! `tests/kernel_equiv.rs` and `tests/fault_equiv.rs`).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use mcds_graph::bitgraph::BitSet;
@@ -52,7 +55,7 @@ pub fn max_gain_connectors<G: RandomAccessGraph>(
     if !g.is_connected() {
         return Err(CdsError::DisconnectedGraph);
     }
-    let run = merge(g, seed, false)?;
+    let run = merge(g, seed, |_| 1, false)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     mcds_obs::counter!("connectors.selected", run.connectors.len() as u64);
     Ok(run.connectors)
@@ -79,7 +82,18 @@ pub fn max_gain_then_paths<G: RandomAccessGraph>(
     if !g.is_connected() {
         return Err(CdsError::DisconnectedGraph);
     }
-    let mut run = merge(g, seed, true)?;
+    merge_then_paths(g, seed, |_| 1)
+}
+
+/// Merges by max gain per unit of `weight` while any node touches two
+/// components, then adds shortest-path connectors for whatever remains.
+/// Only the path fallback checks that `g` can connect the seed.
+pub(crate) fn merge_then_paths<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+    weight: impl Fn(usize) -> u64,
+) -> Result<Vec<usize>, CdsError> {
+    let mut run = merge(g, seed, weight, true)?;
     mcds_obs::counter!("connectors.candidates_scanned", run.scanned);
     if run.remaining > 1 {
         let mut grown: Vec<usize> = seed.to_vec();
@@ -107,11 +121,55 @@ fn stall_error(q: usize) -> CdsError {
     ))
 }
 
-/// The greedy merge loop: incremental gain maintenance via a lazy bucket
-/// queue.
+/// A greedy candidate: a node's cached `gain` over its `weight`, ordered
+/// by `gain_a · weight_b` against `gain_b · weight_a` in 128 bits (a zero
+/// weight ranks above every finite ratio), then by the smaller id.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pick {
+    pub(crate) gain: u64,
+    pub(crate) node: u32,
+    pub(crate) weight: u64,
+}
+
+impl Pick {
+    pub(crate) fn new(gain: usize, node: u32, weight: u64) -> Self {
+        Pick {
+            gain: gain as u64,
+            node,
+            weight,
+        }
+    }
+}
+
+impl Ord for Pick {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (u128::from(self.gain) * u128::from(other.weight))
+            .cmp(&(u128::from(other.gain) * u128::from(self.weight)))
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl PartialOrd for Pick {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pick {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pick {}
+
+/// The greedy merge loop: incremental gain maintenance via a lazy,
+/// weighted bucket queue.  A candidate `w ∉ mask` merges `count − 1`
+/// components, and the loop selects the largest `(count − 1) / weight(w)`
+/// ([`Pick`] order), ties to the smaller id.
 ///
-/// Every candidate `w ∉ mask` carries an *upper bound* `bucket_of[w]` on
-/// its true merge count `|{distinct components adjacent to w}|`:
+/// Every candidate carries an *upper bound* `bound[w]` on its true count
+/// `|{distinct components adjacent to w}|`:
 ///
 /// * selections only ever merge components, so counts of nodes **not**
 ///   adjacent to the selected `w` can only drop — their cached bound
@@ -119,18 +177,19 @@ fn stall_error(q: usize) -> CdsError {
 /// * only neighbors of `w` can gain adjacency to the new component, and
 ///   those are recomputed exactly, right after the selection.
 ///
-/// Buckets are keyed by the bound; popping the smallest id from the
-/// highest non-empty bucket and confirming its true count against the
-/// bucket level therefore yields exactly the full-rescan argmax (max
-/// count, smallest id on ties) — stale entries are lazily demoted on
-/// pop.  Work per selection is `O(deg w · α)` for the refresh plus the
-/// lazy pops, instead of a full `O(n · deg)` rescan.
+/// Bucket `c ≥ 2` holds the candidates bounded by `c`, lightest first,
+/// ties to the smaller id.  The scan takes the best bucket head, walking
+/// down until no lower bucket can beat it even at the lightest weight
+/// (one bucket at unit weights), and confirms its true count: exactly
+/// the full-rescan argmax.  Stale entries are dropped and overestimates
+/// lazily demoted.  Work per selection is `O(deg w · α)` for the refresh
+/// plus the lazy pops, instead of a full `O(n · deg)` rescan.
 fn merge<G: RandomAccessGraph>(
     g: &G,
     seed: &[usize],
+    weight: impl Fn(usize) -> u64,
     allow_stall: bool,
 ) -> Result<MergeRun, CdsError> {
-    const UNQUEUED: u32 = u32::MAX;
     let n = g.num_nodes();
     let mut mask = BitSet::from_nodes(n, seed);
     let mut dsu = DisjointSets::new(n);
@@ -155,12 +214,28 @@ fn merge<G: RandomAccessGraph>(
         });
     }
 
-    // `bucket_of[w]`: the bucket currently holding w's live entry (an
-    // upper bound on its true count); entries are only materialized in
-    // the heaps for buckets ≥ 2, the only ones selection pops from.
-    let mut bucket_of: Vec<u32> = vec![UNQUEUED; n];
-    let mut buckets: Vec<BinaryHeap<Reverse<usize>>> = Vec::new();
-    let mut top = 0usize;
+    // `bound[w]`: the bucket holding w's live entry; entries are only
+    // materialized for buckets ≥ 2, the only ones selection pops from.
+    // An entry is w's rank in (weight, id) order, so a bucket's minimum
+    // is its lightest candidate, ties to the smaller id.
+    let mut bound: Vec<u32> = vec![0; n];
+    let mut buckets: Vec<BinaryHeap<Reverse<u32>>> = Vec::new();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_by_key(|&v| weight(v as usize)); // stable: ids stay ascending
+    let mut rank = vec![0u32; n];
+    for (r, &v) in order.iter().enumerate() {
+        rank[v as usize] = r as u32;
+    }
+    let lightest = order.first().map_or(0, |&v| weight(v as usize));
+    let enqueue = |buckets: &mut Vec<BinaryHeap<_>>, bound: &mut [u32], w: usize, c: usize| {
+        bound[w] = c as u32;
+        if c >= 2 {
+            if buckets.len() <= c {
+                buckets.resize_with(c + 1, BinaryHeap::new);
+            }
+            buckets[c].push(Reverse(rank[w]));
+        }
+    };
     let mut roots: Vec<usize> = Vec::new();
     let mut to_refresh: Vec<usize> = Vec::new();
     for w in 0..n {
@@ -169,31 +244,39 @@ fn merge<G: RandomAccessGraph>(
         }
         scanned += 1;
         let c = adjacent_count(g, &mask, &mut dsu, w, &mut roots);
-        enqueue(&mut buckets, &mut bucket_of, &mut top, w, c);
+        enqueue(&mut buckets, &mut bound, w, c);
     }
 
     while q > 1 {
         let mut best: Option<(usize, usize)> = None; // (count, node)
         loop {
-            while top >= 2 && buckets.get(top).is_none_or(BinaryHeap::is_empty) {
-                top -= 1;
+            let mut head: Option<Pick> = None;
+            for c in (2..buckets.len()).rev() {
+                if head.is_some_and(|h| h > Pick::new(c - 1, 0, lightest)) {
+                    break; // no candidate in bucket c or below ranks above
+                }
+                let bucket = &mut buckets[c];
+                while let Some(&Reverse(r)) = bucket.peek() {
+                    let x = order[r as usize];
+                    if !mask.contains(x as usize) && bound[x as usize] as usize == c {
+                        head = head.max(Some(Pick::new(c - 1, x, weight(x as usize))));
+                        break;
+                    }
+                    bucket.pop(); // stale entry left behind by a reassignment
+                }
             }
-            if top < 2 {
-                break;
-            }
-            let Reverse(x) = buckets[top].pop().expect("bucket checked non-empty");
-            if bucket_of[x] as usize != top || mask.contains(x) {
-                continue; // stale entry left behind by a reassignment
-            }
+            let Some(head) = head else { break };
+            let (c, x) = (head.gain as usize + 1, head.node as usize);
+            buckets[c].pop();
             scanned += 1;
-            let c = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
-            debug_assert!(c <= top, "cached gain bound was not an upper bound");
-            if c == top {
+            let count = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
+            debug_assert!(count <= c, "cached count was not a bound");
+            if count == c {
                 best = Some((c, x));
                 break;
             }
             // Lazy demotion to the true (lower) bucket.
-            enqueue(&mut buckets, &mut bucket_of, &mut top, x, c);
+            enqueue(&mut buckets, &mut bound, x, count);
         }
         let Some((count, w)) = best else {
             if allow_stall {
@@ -206,7 +289,6 @@ fn merge<G: RandomAccessGraph>(
             return Err(stall_error(q));
         };
         mask.insert(w);
-        bucket_of[w] = UNQUEUED;
         to_refresh.clear();
         for u in g.successors(w) {
             if mask.contains(u) {
@@ -223,8 +305,8 @@ fn merge<G: RandomAccessGraph>(
         for &x in &to_refresh {
             scanned += 1;
             let c = adjacent_count(g, &mask, &mut dsu, x, &mut roots);
-            if c as u32 != bucket_of[x] {
-                enqueue(&mut buckets, &mut bucket_of, &mut top, x, c);
+            if c as u32 != bound[x] {
+                enqueue(&mut buckets, &mut bound, x, c);
             }
         }
         debug_assert_eq!(q, {
@@ -237,26 +319,6 @@ fn merge<G: RandomAccessGraph>(
         remaining: q,
         scanned,
     })
-}
-
-/// Re-files `w` under bucket `c` (heap entry only for selectable `c ≥ 2`).
-fn enqueue(
-    buckets: &mut Vec<BinaryHeap<Reverse<usize>>>,
-    bucket_of: &mut [u32],
-    top: &mut usize,
-    w: usize,
-    c: usize,
-) {
-    bucket_of[w] = c as u32;
-    if c >= 2 {
-        if buckets.len() <= c {
-            buckets.resize_with(c + 1, BinaryHeap::new);
-        }
-        buckets[c].push(Reverse(w));
-        if c > *top {
-            *top = c;
-        }
-    }
 }
 
 /// Number of distinct `G[mask]` components adjacent to `w` — the same

@@ -32,12 +32,20 @@
 //! All entry points are also reachable through the [`crate::Solver`]
 //! builder (`.m(2)`, `.biconnect(true)`), which owns timing, verification
 //! ([`check_m_cds`]) and the m-aware pruning post-pass ([`prune_m_cds`]).
+//!
+//! Each greedy rule has one kernel.  The election's lazy max-heap also
+//! serves Chvátal's set cover (the `m = 1` election); the connectors run
+//! the classic phase-2 merge kernel with weights, and [`prune_m_cds`] is
+//! the classic prune kernel with the fold as a parameter.  The
+//! full-rescan loops they replaced are test-only references in
+//! `mcds_check::oracle`, pinned byte for byte by `tests/fault_equiv.rs`.
 
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 use mcds_graph::{node_mask, subsets, traversal, RandomAccessGraph};
 
-use crate::{connect, Cds, CdsError};
+use crate::connect::Pick;
+use crate::{connect, prune, Cds, CdsError};
 
 /// Elects an m-fold dominating set greedily with unit node weights:
 /// every node outside the returned set has ≥ `m` neighbors inside it.
@@ -59,6 +67,13 @@ pub fn m_fold_dominators<G: RandomAccessGraph>(g: &G, m: usize) -> Vec<usize> {
 /// `gain_a · w_b > gain_b · w_a` in 128-bit integers, so the election is
 /// exact and deterministic.  Zero weights are allowed and sort first.
 ///
+/// Electing a node only erases deficits, so no gain ever rises: the
+/// candidates sit in a lazy max-heap keyed by cached gains, and a popped
+/// node is elected once its gain, recomputed in `O(deg)`, still equals
+/// the cached one (otherwise it goes back with the lower gain).  That is
+/// exactly the full-rescan argmax (`mcds_check::oracle::
+/// weighted_m_fold_dominators_scalar`, checked by `tests/fault_equiv.rs`).
+///
 /// # Errors
 ///
 /// [`CdsError::InvalidSet`] if `weights.len() != g.num_nodes()`.
@@ -68,66 +83,41 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
     m: usize,
 ) -> Result<Vec<usize>, CdsError> {
     let n = g.num_nodes();
-    if weights.len() != n {
-        return Err(CdsError::InvalidSet(format!(
-            "weight vector has {} entries for {} nodes",
-            weights.len(),
-            n
-        )));
-    }
+    check_weights(weights, n)?;
     if m == 0 || n == 0 {
         return Ok(Vec::new());
     }
-    let mut chosen = vec![false; n];
-    // cover[v] = number of elected neighbors of v.
-    let mut cover = vec![0usize; n];
-    // Remaining deficit of v: 0 once chosen, else max(0, m − cover[v]).
-    let deficit = |chosen: &[bool], cover: &[usize], v: usize| {
-        if chosen[v] {
-            0
-        } else {
-            m.saturating_sub(cover[v])
-        }
+    // deficit[v]: how many more elected neighbors v needs (0 once v is
+    // elected).  Electing u erases u's own deficit and covers each
+    // unsatisfied neighbor once more.
+    let mut deficit = vec![m; n];
+    let gain = |deficit: &[usize], u: usize| {
+        deficit[u] + g.successors(u).filter(|&w| deficit[w] > 0).count()
     };
+    let mut heap: BinaryHeap<Pick> = (0..n)
+        .map(|u| Pick::new(m + g.degree(u), u as u32, weights[u]))
+        .collect();
     let mut total: usize = n * m;
     let mut out = Vec::new();
     let mut scanned = 0u64;
     while total > 0 {
-        let mut best: Option<(usize, usize)> = None; // (gain, node)
-        for u in 0..n {
-            if chosen[u] {
-                continue;
+        let top = heap
+            .pop()
+            .expect("positive total deficit implies a positive-gain candidate");
+        scanned += 1;
+        let u = top.node as usize;
+        let gain = gain(&deficit, u);
+        if gain as u64 != top.gain {
+            if gain > 0 {
+                heap.push(Pick::new(gain, top.node, top.weight));
             }
-            scanned += 1;
-            // Electing u erases u's own deficit and covers each
-            // unsatisfied non-member neighbor once more.
-            let mut gain = deficit(&chosen, &cover, u);
-            for w in g.successors(u) {
-                if deficit(&chosen, &cover, w) > 0 {
-                    gain += 1;
-                }
-            }
-            if gain == 0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bg, bu)) => {
-                    let lhs = gain as u128 * u128::from(weights[bu]);
-                    let rhs = bg as u128 * u128::from(weights[u]);
-                    lhs > rhs || (lhs == rhs && u < bu)
-                }
-            };
-            if better {
-                best = Some((gain, u));
-            }
+            continue;
         }
-        let (gain, u) = best.expect("positive total deficit implies a positive-gain candidate");
         total -= gain;
-        chosen[u] = true;
+        deficit[u] = 0;
         out.push(u);
         for w in g.successors(u) {
-            cover[w] += 1;
+            deficit[w] = deficit[w].saturating_sub(1);
         }
     }
     mcds_obs::counter!("mfold.candidates_scanned", scanned);
@@ -136,12 +126,25 @@ pub fn weighted_m_fold_dominators<G: RandomAccessGraph>(
     Ok(out)
 }
 
+fn check_weights(weights: &[u64], n: usize) -> Result<(), CdsError> {
+    if weights.len() == n {
+        return Ok(());
+    }
+    Err(CdsError::InvalidSet(format!(
+        "weight vector has {} entries for {} nodes",
+        weights.len(),
+        n
+    )))
+}
+
 /// Phase 2 for the fault-tolerant family: connects the components of
 /// `G[seed]` by repeatedly adding the non-seed node with the best
 /// component-merge gain per unit weight, then falls back to
 /// shortest-path connectors once only zero-gain stepping stones remain
 /// (an m-fold seed is dominating, so components sit ≤ 3 hops apart but
-/// not always ≤ 2 as an MIS would — Lemma 9 does not apply).
+/// not always ≤ 2 as an MIS would — Lemma 9 does not apply).  The merges
+/// run the classic phase-2 kernel of [`connect::max_gain_then_paths`]
+/// with these weights.
 ///
 /// Returns the connectors only (sorted, disjoint from `seed`).
 ///
@@ -160,65 +163,11 @@ pub fn weighted_max_gain_connectors<G: RandomAccessGraph>(
     if n == 0 {
         return Err(CdsError::EmptyGraph);
     }
-    if weights.len() != n {
-        return Err(CdsError::InvalidSet(format!(
-            "weight vector has {} entries for {} nodes",
-            weights.len(),
-            n
-        )));
-    }
+    check_weights(weights, n)?;
     if seed.is_empty() {
         return Err(CdsError::InvalidSet("empty seed set".into()));
     }
-    let mut mask = node_mask(n, seed);
-    let mut connectors: Vec<usize> = Vec::new();
-    loop {
-        let q = subsets::count_components(g, &mask);
-        if q <= 1 {
-            break;
-        }
-        let mut dsu = subsets::components_dsu(g, &mask);
-        // Best (merge-gain, node) per unit weight; gain = adjacent
-        // components − 1 merges performed by the addition.
-        let mut best: Option<(usize, usize)> = None;
-        for w in 0..n {
-            if mask[w] {
-                continue;
-            }
-            let adj = subsets::adjacent_components(g, &mask, &mut dsu, w).len();
-            if adj < 2 {
-                continue;
-            }
-            let gain = adj - 1;
-            let better = match best {
-                None => true,
-                Some((bg, bw)) => {
-                    let lhs = gain as u128 * u128::from(weights[bw]);
-                    let rhs = bg as u128 * u128::from(weights[w]);
-                    lhs > rhs || (lhs == rhs && w < bw)
-                }
-            };
-            if better {
-                best = Some((gain, w));
-            }
-        }
-        match best {
-            Some((_, w)) => {
-                mask[w] = true;
-                connectors.push(w);
-                mcds_obs::counter!("connectors.selected");
-            }
-            None => {
-                // Only stepping stones remain: let the shortest-path
-                // walker finish (it reports DisconnectedGraph if `g`
-                // itself cannot connect the seed).
-                let current: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
-                let rest = connect::path_connectors(g, &current)?;
-                connectors.extend(rest);
-                break;
-            }
-        }
-    }
+    let mut connectors = connect::merge_then_paths(g, seed, |v| weights[v])?;
     connectors.sort_unstable();
     Ok(connectors)
 }
@@ -396,22 +345,9 @@ pub fn check_m_cds<G: RandomAccessGraph>(g: &G, set: &[usize], m: usize) -> Resu
     Ok(())
 }
 
-/// Whether `G[set]` is biconnected, with the same degenerate-size
-/// conventions as `mcds_exact::is_biconnected` (kept local so `mcds-cds`
-/// does not depend on the exact solvers).
-pub(crate) fn is_biconnected_set<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
-    match set.len() {
-        0 => g.num_nodes() == 0,
-        1 => true,
-        _ => {
-            let (sub, _ids) = subsets::induced_subgraph(g, set);
-            sub.is_connected() && traversal::articulation_points(&sub).is_empty()
-        }
-    }
-}
-
-/// Typed variant of [`is_biconnected_set`] for verification paths:
-/// names a concrete cut vertex (or reports disconnection).
+/// Whether `G[set]` is biconnected, naming a concrete cut vertex (or
+/// reporting disconnection) when it is not.  Degenerate sizes follow
+/// `mcds_exact::is_biconnected`: a singleton and an adjacent pair pass.
 ///
 /// # Errors
 ///
@@ -449,6 +385,11 @@ pub fn check_biconnected<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<(
 /// (when `biconnect` is set) biconnected.  The output is 1-minimal for
 /// exactly that property set, so the pass is idempotent.
 ///
+/// This is the classic prune kernel ([`crate::prune::prune_cds`] is the
+/// `m = 1` case) with the fold and the biconnectivity test as
+/// parameters; see there for why one pass reaches the fixpoint without
+/// `biconnect`.
+///
 /// # Errors
 ///
 /// Propagates the [`check_m_cds`] violation (or
@@ -464,32 +405,7 @@ pub fn prune_m_cds<G: RandomAccessGraph>(
     if biconnect {
         check_biconnected(g, set)?;
     }
-    let mut current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
-    // Sweep to a fixpoint: a drop rejected early in a sweep (say, for
-    // biconnectivity) can become legal after later drops, so a single
-    // pass is not 1-minimal.  Each sweep either removes a node or ends
-    // the loop, so this terminates within |set| sweeps.
-    loop {
-        let mut changed = false;
-        let mut order = current.clone();
-        order.sort_by_key(|&v| (g.degree(v), v));
-        for v in order {
-            if current.len() <= 1 {
-                break;
-            }
-            let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
-            let ok = check_m_cds(g, &candidate, m).is_ok()
-                && (!biconnect || is_biconnected_set(g, &candidate));
-            if ok {
-                current = candidate;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Ok(current)
+    Ok(prune::prune_incremental(g, set, m, biconnect))
 }
 
 /// One-call construction of a fault-tolerant backbone: m-fold greedy
@@ -721,7 +637,7 @@ mod tests {
         for g in [gnarly(), Graph::cycle(9), Graph::complete(7)] {
             let cds = crate::greedy_cds(&g).unwrap();
             let aug = biconnect_augment(&g, cds.nodes()).unwrap();
-            assert!(is_biconnected_set(&g, &aug), "{g:?}");
+            assert!(check_biconnected(&g, &aug).is_ok(), "{g:?}");
             // Superset of the input: augmentation only adds.
             for v in cds.nodes() {
                 assert!(aug.binary_search(v).is_ok());
@@ -772,7 +688,7 @@ mod tests {
                     let pruned = prune_m_cds(&g, cds.nodes(), m, biconnect).unwrap();
                     assert!(check_m_cds(&g, &pruned, m).is_ok(), "m={m} {g:?}");
                     if biconnect {
-                        assert!(is_biconnected_set(&g, &pruned), "m={m} {g:?}");
+                        assert!(check_biconnected(&g, &pruned).is_ok(), "m={m} {g:?}");
                     }
                     let again = prune_m_cds(&g, &pruned, m, biconnect).unwrap();
                     assert_eq!(again, pruned, "prune not idempotent, m={m} {g:?}");
@@ -789,7 +705,7 @@ mod tests {
                 assert!(check_m_cds(&g, plain.nodes(), m).is_ok());
                 let hard = fault_tolerant_cds(&g, m, true).unwrap();
                 assert!(check_m_cds(&g, hard.nodes(), m).is_ok());
-                assert!(is_biconnected_set(&g, hard.nodes()));
+                assert!(check_biconnected(&g, hard.nodes()).is_ok());
                 // Hardening never shrinks the backbone.
                 assert!(hard.len() >= plain.len());
             }

@@ -14,7 +14,10 @@
 //! block that held it.  The scan accepts exactly the removals, in the
 //! same order, of a from-scratch re-check per candidate
 //! (`mcds_check::oracle::prune_scalar`, checked by
-//! `tests/kernel_equiv.rs`).
+//! `tests/kernel_equiv.rs`).  The same kernel, with the fold `m` and a
+//! biconnectivity test as parameters, is the fault family's
+//! [`crate::fault::prune_m_cds`] (`mcds_check::oracle::
+//! prune_m_cds_scalar`, checked by `tests/fault_equiv.rs`).
 
 use mcds_graph::bitgraph::{BitSet, BlockForest};
 use mcds_graph::{node_mask, subsets, RandomAccessGraph};
@@ -32,60 +35,82 @@ use crate::CdsError;
 /// not a valid CDS of `g` to begin with.
 pub fn prune_cds<G: RandomAccessGraph>(g: &G, set: &[usize]) -> Result<Vec<usize>, CdsError> {
     crate::check_cds(g, set)?;
-    let current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
-    let mut order = current.clone();
-    order.sort_by_key(|&v| (g.degree(v), v));
-    Ok(prune_incremental(g, &current, &order))
+    Ok(prune_incremental(g, set, 1, false))
 }
 
-/// The incremental scan: a removal of `v` from the valid CDS `S` keeps it
-/// a CDS iff
+/// The incremental scan over the members of `set` by ascending
+/// `(degree, id)`.  A removal of `v` from the valid m-fold CDS `S` keeps
+/// it one iff
 ///
-/// 1. `cover[v] ≥ 1` — `v` itself stays dominated,
-/// 2. every non-member neighbor `u` of `v` has `cover[u] ≥ 2` — `u`
-///    keeps a dominator after losing `v`,
+/// 1. `cover[v] ≥ m` — `v` itself stays m-fold dominated,
+/// 2. every non-member neighbor `u` of `v` has `cover[u] ≥ m + 1` — `u`
+///    keeps `m` dominators after losing `v`,
 /// 3. `v` is not an articulation point of `G[S]` — connectivity holds
 ///    (member neighbors stay dominated by membership).
 ///
-/// These are exactly the conditions a from-scratch CDS check tests, so
+/// These are exactly the conditions a from-scratch check tests, so
 /// scanning the same order yields the identical set.  Per accepted
 /// removal, `cover` is patched in `O(deg v)` and the forest re-splits
 /// the one block `B` that held `v` in `O(Σ_{u∈B} deg u)`; a rejected
 /// candidate changes nothing.  Σ|B − v| over the accepted removals goes
 /// to the `prune.resplit_nodes` counter, once per call.
-fn prune_incremental<G: RandomAccessGraph>(
+///
+/// For `m ≥ 1` one pass is a fixpoint: a rejection never becomes legal
+/// later (DESIGN.md §11).  With `biconnect`, test 3 becomes "`G[S − v]`
+/// is biconnected", run after the cover tests, and the scan sweeps until
+/// a pass removes nothing, as it does for `m = 0`.
+pub(crate) fn prune_incremental<G: RandomAccessGraph>(
     g: &G,
-    current: &[usize],
-    order: &[usize],
+    set: &[usize],
+    m: usize,
+    biconnect: bool,
 ) -> Vec<usize> {
     let n = g.num_nodes();
-    let mut in_set = BitSet::from_nodes(n, current);
+    let current = mcds_graph::node_set(set.iter().copied());
+    let mut order = current.clone();
+    order.sort_by_key(|&v| (g.degree(v), v));
+    let mut in_set = BitSet::from_nodes(n, &current);
     let mut size = current.len();
     let mut cover = vec![0u32; n];
-    for &v in current {
+    for &v in &current {
         for u in g.successors(v) {
             cover[u] += 1;
         }
     }
-    let mut forest = BlockForest::new(g, current);
+    let mut forest = (!biconnect).then(|| BlockForest::new(g, &current));
     let mut resplit = 0u64;
-    for &v in order {
-        if size <= 1 {
+    loop {
+        let mut changed = false;
+        for &v in &order {
+            if size <= 1 {
+                break;
+            }
+            if !in_set.contains(v)
+                || (cover[v] as usize) < m
+                || forest.as_ref().is_some_and(|f| f.is_cut(v))
+                || g.successors(v)
+                    .any(|u| !in_set.contains(u) && cover[u] as usize <= m)
+            {
+                continue;
+            }
+            in_set.remove(v);
+            if forest.is_none() && crate::fault::check_biconnected(g, &in_set.to_nodes()).is_err() {
+                in_set.insert(v);
+                continue;
+            }
+            size -= 1;
+            for u in g.successors(v) {
+                cover[u] -= 1;
+            }
+            if let Some(forest) = &mut forest {
+                resplit += forest.remove(g, v) as u64;
+            }
+            changed = true;
+            debug_assert!(m == 0 || is_cds_fast(g, &in_set.to_nodes()));
+        }
+        if !changed || !(biconnect || m == 0) {
             break;
         }
-        if !in_set.contains(v) || cover[v] == 0 || forest.is_cut(v) {
-            continue;
-        }
-        if g.successors(v).any(|u| !in_set.contains(u) && cover[u] < 2) {
-            continue;
-        }
-        in_set.remove(v);
-        size -= 1;
-        for u in g.successors(v) {
-            cover[u] -= 1;
-        }
-        resplit += forest.remove(g, v) as u64;
-        debug_assert!(is_cds_fast(g, &in_set.to_nodes()));
     }
     mcds_obs::counter!("prune.resplit_nodes", resplit);
     in_set.to_nodes()

@@ -32,7 +32,7 @@ use mcds_mis::{variants, BfsMis};
 
 use crate::algorithms::Algorithm;
 use crate::fault::WeightScheme;
-use crate::{connect, fault, growth, prune, setcover, waf, Cds, CdsError};
+use crate::{connect, fault, growth, setcover, waf, Cds, CdsError};
 
 /// Wall-clock time spent in each stage of a solve (all zero unless
 /// [`Solver::timings`] was enabled).
@@ -134,8 +134,8 @@ impl Solver {
     }
 
     /// Enables the validity-preserving pruning post-pass (see
-    /// [`crate::prune::prune_cds`]); role labels of surviving nodes are
-    /// kept.
+    /// [`crate::fault::prune_m_cds`], which is [`crate::prune::prune_cds`]
+    /// at `m = 1`); role labels of surviving nodes are kept.
     pub fn prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
@@ -291,11 +291,7 @@ impl Solver {
         let mut pruned_from = None;
         if self.prune {
             let p = mcds_obs::span("solve.prune");
-            let kept = if self.m > 1 || self.biconnect {
-                fault::prune_m_cds(g, cds.nodes(), self.m, self.biconnect)?
-            } else {
-                prune::prune_cds(g, cds.nodes())?
-            };
+            let kept = fault::prune_m_cds(g, cds.nodes(), self.m, self.biconnect)?;
             if kept.len() < cds.len() {
                 pruned_from = Some(cds.len());
                 mcds_obs::counter!("prune.removed", (cds.len() - kept.len()) as u64);

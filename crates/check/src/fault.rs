@@ -10,7 +10,10 @@
 //! construction's own verifier — a genuine differential check across
 //! two implementations of the contract:
 //!
-//! * every `(1, m)` output is a connected, m-fold dominating set,
+//! * every `(1, m)` output is a connected, m-fold dominating set, and
+//!   so is its m-aware prune without biconnect, which is also 1-minimal
+//!   (a check of the single-pass argument in `mcds_cds::prune`
+//!   independent of the kernel differential suite),
 //! * the `(1, 2)` output is no smaller than the exact `(1, 2)`-CDS
 //!   optimum of [`mcds_exact::try_min_12cds`] (small instances, bounded
 //!   budget),
@@ -75,6 +78,28 @@ pub fn check_fault_case(case: &OracleCase) -> TestResult {
         if !properties::is_connected_dominating_set(g, nodes) {
             return TestResult::Fail(format!(
                 "{:?}: (1,{m}) output {nodes:?} is not a connected dominating set",
+                case.kind
+            ));
+        }
+        // The one-pass (1, m) prune must keep the contract and be
+        // 1-minimal, both by the exact predicates.
+        let holds = |set: &[usize]| {
+            mcds_exact::is_m_dominating(g, set, m) && g.induced_subgraph(set).0.is_connected()
+        };
+        let once = match fault::prune_m_cds(g, nodes, m, false) {
+            Ok(set) => set,
+            Err(e) => {
+                return TestResult::Fail(format!("{:?}: (1,{m}) prune failed: {e}", case.kind))
+            }
+        };
+        let removable = |v: usize| {
+            let rest: Vec<usize> = once.iter().copied().filter(|&u| u != v).collect();
+            !rest.is_empty() && holds(&rest)
+        };
+        if !holds(&once) || once.iter().any(|&v| removable(v)) {
+            return TestResult::Fail(format!(
+                "{:?}: (1,{m}) prune of {nodes:?} gave {once:?}, which breaks the \
+                 contract or is not 1-minimal",
                 case.kind
             ));
         }

@@ -20,11 +20,15 @@
 //!
 //! The module also holds the scalar references for the production
 //! phase-2 and prune kernels of `mcds-cds` ([`max_gain_connectors_scalar`],
-//! [`max_gain_then_paths_scalar`], [`prune_scalar`], [`is_cds_scalar`]):
+//! [`max_gain_then_paths_scalar`], [`prune_scalar`], [`is_cds_scalar`])
+//! and for the fault family's election, connectors and prune
+//! ([`weighted_m_fold_dominators_scalar`], [`chvatal_dominating_set_scalar`],
+//! [`weighted_max_gain_connectors_scalar`], [`prune_m_cds_scalar`]):
 //! the original full-rescan loops, which the incremental kernels must
-//! match byte for byte (`crates/cds/tests/kernel_equiv.rs`, E25).
+//! match byte for byte (`crates/cds/tests/kernel_equiv.rs`,
+//! `crates/cds/tests/fault_equiv.rs`, E25).
 
-use mcds_cds::{connect, prune, Algorithm, CdsError};
+use mcds_cds::{connect, fault, prune, Algorithm, CdsError};
 use mcds_exact::brute;
 use mcds_geom::Point;
 use mcds_graph::{
@@ -419,6 +423,227 @@ pub fn is_cds_scalar<G: RandomAccessGraph>(g: &G, set: &[usize]) -> bool {
     let mask = node_mask(g.num_nodes(), set);
     (0..g.num_nodes()).all(|v| mask[v] || g.successors(v).any(|u| mask[u]))
         && subsets::is_connected_subset(g, &mask)
+}
+
+/// Scalar reference for [`fault::weighted_m_fold_dominators`]: every
+/// election rescans every unelected node for the best coverage-deficit
+/// reduction per unit weight (cross-multiplied, ties to the smaller id).
+///
+/// # Errors
+///
+/// [`CdsError::InvalidSet`] if `weights.len() != g.num_nodes()`.
+pub fn weighted_m_fold_dominators_scalar<G: RandomAccessGraph>(
+    g: &G,
+    weights: &[u64],
+    m: usize,
+) -> Result<Vec<usize>, CdsError> {
+    let n = g.num_nodes();
+    if weights.len() != n {
+        return Err(CdsError::InvalidSet(format!(
+            "weight vector has {} entries for {} nodes",
+            weights.len(),
+            n
+        )));
+    }
+    if m == 0 || n == 0 {
+        return Ok(Vec::new());
+    }
+    let mut chosen = vec![false; n];
+    let mut cover = vec![0usize; n];
+    let deficit = |chosen: &[bool], cover: &[usize], v: usize| {
+        if chosen[v] {
+            0
+        } else {
+            m.saturating_sub(cover[v])
+        }
+    };
+    let mut total: usize = n * m;
+    let mut out = Vec::new();
+    while total > 0 {
+        let mut best: Option<(usize, usize)> = None; // (gain, node)
+        for u in 0..n {
+            if chosen[u] {
+                continue;
+            }
+            let mut gain = deficit(&chosen, &cover, u);
+            for w in g.successors(u) {
+                if deficit(&chosen, &cover, w) > 0 {
+                    gain += 1;
+                }
+            }
+            if gain == 0 {
+                continue;
+            }
+            let better = match best {
+                None => true,
+                Some((bg, bu)) => {
+                    let lhs = gain as u128 * u128::from(weights[bu]);
+                    let rhs = bg as u128 * u128::from(weights[u]);
+                    lhs > rhs || (lhs == rhs && u < bu)
+                }
+            };
+            if better {
+                best = Some((gain, u));
+            }
+        }
+        let (gain, u) = best.expect("positive total deficit implies a positive-gain candidate");
+        total -= gain;
+        chosen[u] = true;
+        out.push(u);
+        for w in g.successors(u) {
+            cover[w] += 1;
+        }
+    }
+    out.sort_unstable();
+    Ok(out)
+}
+
+/// Scalar reference for [`mcds_cds::chvatal_dominating_set`]: every pick
+/// rescans every node for the most still-uncovered nodes in its closed
+/// neighborhood, ties to the smaller id.
+pub fn chvatal_dominating_set_scalar<G: RandomAccessGraph>(g: &G) -> Vec<usize> {
+    let n = g.num_nodes();
+    let mut covered = vec![false; n];
+    let mut remaining = n;
+    let mut ds = Vec::new();
+    while remaining > 0 {
+        let mut best = (0usize, usize::MAX); // (new coverage, node)
+        for v in 0..n {
+            let mut cover = usize::from(!covered[v]);
+            cover += g.successors(v).filter(|&u| !covered[u]).count();
+            if cover > best.0 || (cover == best.0 && v < best.1) {
+                best = (cover, v);
+            }
+        }
+        let v = best.1;
+        ds.push(v);
+        if !covered[v] {
+            covered[v] = true;
+            remaining -= 1;
+        }
+        for u in g.successors(v) {
+            if !covered[u] {
+                covered[u] = true;
+                remaining -= 1;
+            }
+        }
+    }
+    ds.sort_unstable();
+    ds
+}
+
+/// Scalar reference for [`fault::weighted_max_gain_connectors`]: every
+/// selection rescans every non-member for the best merge gain per unit
+/// weight, then the shared [`connect::path_connectors`] fallback runs
+/// once no node touches two components.
+///
+/// # Errors
+///
+/// The same [`CdsError`] values as the production kernel.
+pub fn weighted_max_gain_connectors_scalar<G: RandomAccessGraph>(
+    g: &G,
+    seed: &[usize],
+    weights: &[u64],
+) -> Result<Vec<usize>, CdsError> {
+    let n = g.num_nodes();
+    if n == 0 {
+        return Err(CdsError::EmptyGraph);
+    }
+    if weights.len() != n {
+        return Err(CdsError::InvalidSet(format!(
+            "weight vector has {} entries for {} nodes",
+            weights.len(),
+            n
+        )));
+    }
+    if seed.is_empty() {
+        return Err(CdsError::InvalidSet("empty seed set".into()));
+    }
+    let mut mask = node_mask(n, seed);
+    let mut connectors: Vec<usize> = Vec::new();
+    loop {
+        if subsets::count_components(g, &mask) <= 1 {
+            break;
+        }
+        let mut dsu = subsets::components_dsu(g, &mask);
+        let mut best: Option<(usize, usize)> = None; // (gain, node)
+        for w in 0..n {
+            if mask[w] {
+                continue;
+            }
+            let adj = subsets::adjacent_components(g, &mask, &mut dsu, w).len();
+            if adj < 2 {
+                continue;
+            }
+            let gain = adj - 1;
+            let better = match best {
+                None => true,
+                Some((bg, bw)) => {
+                    let lhs = gain as u128 * u128::from(weights[bw]);
+                    let rhs = bg as u128 * u128::from(weights[w]);
+                    lhs > rhs || (lhs == rhs && w < bw)
+                }
+            };
+            if better {
+                best = Some((gain, w));
+            }
+        }
+        match best {
+            Some((_, w)) => {
+                mask[w] = true;
+                connectors.push(w);
+            }
+            None => {
+                let current: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
+                connectors.extend(connect::path_connectors(g, &current)?);
+                break;
+            }
+        }
+    }
+    connectors.sort_unstable();
+    Ok(connectors)
+}
+
+/// Scalar reference for [`fault::prune_m_cds`]: sweeps the members by
+/// ascending `(degree, id)`, dropping each one whose removal still passes
+/// a from-scratch [`fault::check_m_cds`] (and [`fault::check_biconnected`]
+/// when `biconnect` is set), until a sweep drops nothing.
+///
+/// # Errors
+///
+/// The contract violation of `set` itself, as the production kernel.
+pub fn prune_m_cds_scalar<G: RandomAccessGraph>(
+    g: &G,
+    set: &[usize],
+    m: usize,
+    biconnect: bool,
+) -> Result<Vec<usize>, CdsError> {
+    fault::check_m_cds(g, set, m)?;
+    if biconnect {
+        fault::check_biconnected(g, set)?;
+    }
+    let mut current: Vec<usize> = mcds_graph::node_set(set.iter().copied());
+    loop {
+        let mut changed = false;
+        let mut order = current.clone();
+        order.sort_by_key(|&v| (g.degree(v), v));
+        for v in order {
+            if current.len() <= 1 {
+                break;
+            }
+            let candidate: Vec<usize> = current.iter().copied().filter(|&u| u != v).collect();
+            if fault::check_m_cds(g, &candidate, m).is_ok()
+                && (!biconnect || fault::check_biconnected(g, &candidate).is_ok())
+            {
+                current = candidate;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    Ok(current)
 }
 
 #[cfg(test)]

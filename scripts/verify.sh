@@ -203,12 +203,12 @@ fi
 
 if want kernel; then
   echo "== kernel: production kernels vs scalar references, solve --json digests =="
-  # The phase-2 and prune kernels must match the scalar references in
-  # mcds_check::oracle (DESIGN.md section 14) ...
-  cargo test --quiet --release -p mcds-cds --test kernel_equiv
+  # The election, phase-2 and prune kernels must match the scalar
+  # references in mcds_check::oracle (DESIGN.md section 14) ...
+  cargo test --quiet --release -p mcds-cds --test kernel_equiv --test fault_equiv
   # ... and solve --json (every algorithm, prune on) must keep the bytes
   # recorded in results/kernel_solve.sha256 at four sizes: n = 200,
-  # 1500, 9000 and 30000 (no oracle can afford the last one).
+  # 1500, 9000 and 30000 (no oracle can afford the last one) ...
   for spec in "200 7.9 31" "1500 21.7 32" "9000 38 33" "30000 85 41"; do
     read -r kn kside kseed <<< "$spec"
     cargo run --quiet --release -p mcds-cli -- gen --n "$kn" --side "$kside" \
@@ -216,8 +216,20 @@ if want kernel; then
     cargo run --quiet --release -p mcds-cli -- solve "$det_dir/kernel_$kn.udg" \
       --alg all --prune --json > "$det_dir/kernel_$kn.json"
   done
+  # ... and so must the fault family's greedy solves at n = 1500 and 9000
+  # (n = 1500 has cut vertices, so --biconnect runs at n = 9000 only).
+  for kn in 1500 9000; do
+    for variant in "m2:--m 2" "degree:--weights degree" "m3_random:--m 3 --weights random" \
+      "m2_biconnect:--m 2 --biconnect"; do
+      name=${variant%%:*}
+      [[ $kn == 1500 && $name == m2_biconnect ]] && continue
+      # shellcheck disable=SC2086 # the flags are meant to split
+      cargo run --quiet --release -p mcds-cli -- solve "$det_dir/kernel_$kn.udg" \
+        --alg greedy ${variant#*:} --prune --json > "$det_dir/kernel_${kn}_$name.json"
+    done
+  done
   (cd "$det_dir" && sha256sum --check --strict "$OLDPWD/results/kernel_solve.sha256")
-  echo "kernel_equiv passes; solve --json matches the recorded digests at n=200, 1500, 9000, 30000"
+  echo "kernel_equiv and fault_equiv pass; solve --json matches the recorded digests"
 fi
 
 if want bench; then
